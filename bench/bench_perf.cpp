@@ -440,11 +440,10 @@ BENCHMARK(BM_ShardedChainStepAlignment)->Arg(1)->Arg(2)->Arg(8)
 void BM_ShardedChainStepSeparationTiledLine(benchmark::State& state) {
   // The previously-cliffed shape: a 3e5-particle line's derived window is
   // ~1e9 words — far past the 32 MiB flat cap — so before the tiled
-  // backend this configuration fell onto the sparse hash path and ran
-  // every event on the sequential sweep.  Now it runs dense-tiled and
-  // striped with the paged id plane; items/s here against the *Sparse row
-  // below is the measured price of the old cliff.  Arg is the
-  // stripe-phase thread count.
+  // backend this configuration fell onto the hash-only path and ran
+  // every event on the sequential sweep (BENCH_perf.json keeps that
+  // row's history).  Now it runs dense-tiled and striped with the paged
+  // id plane.  Arg is the stripe-phase thread count.
   core::SeparationModel::Options options;
   options.lambda = 4.0;
   options.gamma = 4.0;
@@ -462,30 +461,6 @@ void BM_ShardedChainStepSeparationTiledLine(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardedChainStepSeparationTiledLine)->Arg(1)->Arg(2)->Arg(8)
     ->UseRealTime();
-
-void BM_ShardedChainStepSeparationSparseLine(benchmark::State& state) {
-  // The before side of the tiled-occupancy work, kept measurable from the
-  // same binary: the identical 3e5-line workload forced onto the sparse
-  // regime (hash-index queries, every event on the sequential sweep) —
-  // exactly where this shape landed before the flat cap was broken.
-  core::SeparationModel::Options options;
-  options.lambda = 4.0;
-  options.gamma = 4.0;
-  core::ShardedChainOptions sharded;
-  sharded.threads = 1;
-  system::ParticleSystem start = system::lineConfiguration(300000);
-  start.forceSparseForTest();
-  core::ShardedChainRunner<core::SeparationModel> runner(
-      std::move(start),
-      core::SeparationModel(options, system::alternatingClasses(300000, 2)),
-      42, sharded);
-  std::uint64_t done = 0;
-  for (auto _ : state) {
-    done += runner.runAtLeast(400000);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(done));
-}
-BENCHMARK(BM_ShardedChainStepSeparationSparseLine)->UseRealTime();
 
 void BM_SchedulerNext(benchmark::State& state) {
   amoebot::PoissonScheduler scheduler(

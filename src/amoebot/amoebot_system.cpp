@@ -1,7 +1,5 @@
 #include "amoebot/amoebot_system.hpp"
 
-#include "lattice/edge_ring.hpp"
-
 namespace sops::amoebot {
 
 namespace {
@@ -16,8 +14,7 @@ constexpr std::int64_t kPlaneEnsureMargin = 8;
 }  // namespace
 
 AmoebotSystem::AmoebotSystem(const system::ParticleSystem& initial,
-                             rng::Random& rng)
-    : occupancy_(initial.size() * 2) {
+                             rng::Random& rng) {
   SOPS_REQUIRE(initial.size() > 0, "AmoebotSystem requires particles");
   particles_.reserve(initial.size());
   for (std::size_t id = 0; id < initial.size(); ++id) {
@@ -27,25 +24,31 @@ AmoebotSystem::AmoebotSystem(const system::ParticleSystem& initial,
     p.orientationOffset = static_cast<std::uint8_t>(rng.below(6));
     p.mirrored = rng.bernoulli(0.5);
     particles_.push_back(p);
-    setCell(p.tail, static_cast<std::int32_t>(id), false);
   }
   regrowPlanes();
+  idIndexDirty_ = true;  // at() builds the id index on first use
 }
 
-void AmoebotSystem::regrowPlanes() {
-  if (gridsGaveUp_) return;
+std::vector<TriPoint> AmoebotSystem::occupiedCells() const {
   std::vector<TriPoint> cells;
   cells.reserve(particles_.size() + expandedCount_);
   for (const Particle& p : particles_) {
     cells.push_back(p.tail);
     if (p.expanded) cells.push_back(p.head);
   }
+  return cells;
+}
+
+void AmoebotSystem::regrowPlanes() {
   // rebuild() promotes oversized bounding boxes to the tiled backend, so
   // it only fails on an empty cell set — excluded by the constructor.
-  // The sparse regime survives solely behind forceSparseForTest().
-  const bool built = occ_.rebuild(cells, kPlaneBaseMargin);
+  const bool built = occ_.rebuild(occupiedCells(), kPlaneBaseMargin);
   SOPS_DASSERT(built);
   (void)built;
+  mirrorPlanes();
+}
+
+void AmoebotSystem::mirrorPlanes() {
   heads_.allocateLike(occ_);
   expanded_.allocateLike(occ_);
   for (const Particle& p : particles_) {
@@ -54,20 +57,6 @@ void AmoebotSystem::regrowPlanes() {
     expanded_.set(p.tail);
     expanded_.set(p.head);
   }
-  gridsOn_ = true;
-}
-
-void AmoebotSystem::forceSparseForTest() {
-  SOPS_REQUIRE(!sharded_, "forceSparseForTest: inside a sharded section");
-  // The hash index becomes the occupancy source of truth, so eager
-  // maintenance resumes and at() is valid again.
-  gridsGaveUp_ = true;
-  gridsOn_ = false;
-  occ_.disable();
-  heads_.disable();
-  expanded_.disable();
-  rebuildIdIndex();
-  recountExpanded();
 }
 
 void AmoebotSystem::recountExpanded() {
@@ -93,20 +82,13 @@ void AmoebotSystem::rebuildIdIndex() const {
   idIndexDirty_ = false;
 }
 
-void AmoebotSystem::suspendIdIndex() {
-  SOPS_REQUIRE(gridsOn_, "suspendIdIndex: dense planes required");
-  sharded_ = true;
-}
-
 void AmoebotSystem::restoreIdIndex() {
   if (!sharded_) return;
   sharded_ = false;
-  if (gridsOn_) {
-    // The hash refresh stays lazy (at() rebuilds on demand) — a sharded
-    // burst between samples should not pay O(n) hash work nobody reads.
-    idIndexDirty_ = true;
-    recountExpanded();
-  }
+  // The hash refresh stays lazy (at() rebuilds on demand) — a sharded
+  // burst between samples should not pay O(n) hash work nobody reads.
+  idIndexDirty_ = true;
+  recountExpanded();
 }
 
 AmoebotSystem::CellView AmoebotSystem::at(TriPoint cell) const {
@@ -119,95 +101,62 @@ AmoebotSystem::CellView AmoebotSystem::at(TriPoint cell) const {
 
 bool AmoebotSystem::expandedParticleAdjacent(TriPoint cell,
                                              std::size_t self) const {
-  if (gridsOn_) {
-    std::uint8_t mask;
-    if (expanded_.coversInterior(cell)) {
-      mask = expanded_.neighborMaskUnchecked(cell);
-    } else {
-      mask = 0;
-      for (const Direction d : lattice::kAllDirections) {
-        if (expanded_.test(lattice::neighbor(cell, d))) {
-          mask = static_cast<std::uint8_t>(mask | (1u << index(d)));
-        }
+  std::uint8_t mask;
+  if (expanded_.coversInterior(cell)) {
+    mask = expanded_.neighborMaskUnchecked(cell);
+  } else {
+    mask = 0;
+    for (const Direction d : lattice::kAllDirections) {
+      if (expanded_.test(lattice::neighbor(cell, d))) {
+        mask = static_cast<std::uint8_t>(mask | (1u << index(d)));
       }
-    }
-    if (mask == 0) return false;
-    const Particle& s = particles_[self];
-    if (s.expanded) {
-      // The only expanded cells belonging to `self` are its own tail and
-      // head; drop their direction bits if they happen to be adjacent.
-      if (const auto d = lattice::directionBetween(cell, s.tail)) {
-        mask = static_cast<std::uint8_t>(mask & ~(1u << index(*d)));
-      }
-      if (const auto d = lattice::directionBetween(cell, s.head)) {
-        mask = static_cast<std::uint8_t>(mask & ~(1u << index(*d)));
-      }
-    }
-    return mask != 0;
-  }
-  for (const Direction d : lattice::kAllDirections) {
-    const CellView view = at(lattice::neighbor(cell, d));
-    if (view.empty()) continue;
-    if (static_cast<std::size_t>(view.particle) == self) continue;
-    if (particles_[static_cast<std::size_t>(view.particle)].expanded) {
-      return true;
     }
   }
-  return false;
+  if (mask == 0) return false;
+  const Particle& s = particles_[self];
+  if (s.expanded) {
+    // The only expanded cells belonging to `self` are its own tail and
+    // head; drop their direction bits if they happen to be adjacent.
+    if (const auto d = lattice::directionBetween(cell, s.tail)) {
+      mask = static_cast<std::uint8_t>(mask & ~(1u << index(*d)));
+    }
+    if (const auto d = lattice::directionBetween(cell, s.head)) {
+      mask = static_cast<std::uint8_t>(mask & ~(1u << index(*d)));
+    }
+  }
+  return mask != 0;
 }
 
 bool AmoebotSystem::occupiedExcludingHeads(TriPoint cell,
                                            std::size_t self) const {
-  if (gridsOn_) {
-    if (!occ_.test(cell)) return false;
-    if (heads_.test(cell)) return false;
-    // Of self's cells only the tail can still match here: a contracted
-    // self has head == tail, and an expanded self's head carries the
-    // heads-plane bit just tested.
-    return cell != particles_[self].tail;
-  }
-  const CellView view = at(cell);
-  if (view.empty()) return false;
-  if (static_cast<std::size_t>(view.particle) == self) return false;
-  const Particle& p = particles_[static_cast<std::size_t>(view.particle)];
-  if (p.expanded && view.isHead) return false;
-  return true;
+  if (!occ_.test(cell)) return false;
+  if (heads_.test(cell)) return false;
+  // Of self's cells only the tail can still match here: a contracted
+  // self has head == tail, and an expanded self's head carries the
+  // heads-plane bit just tested.
+  return cell != particles_[self].tail;
 }
 
 bool AmoebotSystem::expandedAdjacentToMovePair(std::size_t id) const {
   const Particle& p = particles_[id];
   SOPS_DASSERT(p.expanded);
-  if (gridsOn_) {
-    // Of the twelve neighbor probes around (tail, head), the only cells of
-    // particle `id` itself are the two ends of the expansion edge: mask
-    // the head's direction bit at the tail and vice versa.
-    const std::uint32_t tailMask =
-        expanded_.neighborMaskUnchecked(p.tail) & ~(1u << p.expandDir);
-    const std::uint32_t headMask =
-        expanded_.neighborMaskUnchecked(p.head) &
-        ~(1u << ((p.expandDir + 3) % 6));
-    return (tailMask | headMask) != 0;
-  }
-  return expandedParticleAdjacent(p.tail, id) ||
-         expandedParticleAdjacent(p.head, id);
+  // Of the twelve neighbor probes around (tail, head), the only cells of
+  // particle `id` itself are the two ends of the expansion edge: mask
+  // the head's direction bit at the tail and vice versa.
+  const std::uint32_t tailMask =
+      expanded_.neighborMaskUnchecked(p.tail) & ~(1u << p.expandDir);
+  const std::uint32_t headMask =
+      expanded_.neighborMaskUnchecked(p.head) &
+      ~(1u << ((p.expandDir + 3) % 6));
+  return (tailMask | headMask) != 0;
 }
 
 std::uint8_t AmoebotSystem::nStarRingMask(std::size_t id) const {
   const Particle& p = particles_[id];
   SOPS_DASSERT(p.expanded);
   const int di = p.expandDir;
-  if (gridsOn_) {
-    return static_cast<std::uint8_t>(occ_.ringMaskUnchecked(p.tail, di) &
-                                     ~heads_.ringMaskUnchecked(p.tail, di));
-  }
-  const auto& offsets = lattice::kEdgeRingOffsets[di];
-  std::uint8_t mask = 0;
-  for (int idx = 0; idx < lattice::kEdgeRingSize; ++idx) {
-    if (occupiedExcludingHeads(p.tail + offsets[idx], id)) {
-      mask = static_cast<std::uint8_t>(mask | (1u << idx));
-    }
-  }
-  return mask;
+  return static_cast<std::uint8_t>(occ_.ringMaskUnchecked(p.tail, di) &
+                                   ~heads_.ringMaskUnchecked(p.tail, di));
 }
 
 void AmoebotSystem::expand(std::size_t id, Direction d) {
@@ -220,45 +169,35 @@ void AmoebotSystem::expand(std::size_t id, Direction d) {
   p.expanded = true;
   p.expandDir = static_cast<std::uint8_t>(index(d));
   if (maintainCount()) ++expandedCount_;
-  if (!gridsOn_) {
-    setCell(target, static_cast<std::int32_t>(id), true);
-  } else {
-    noteMutation();
-    // Keep every particle cell interior so unchecked gathers stay
-    // licensed.  Tiled planes only grow: allocating around the escape up
-    // front keeps all three directories mirrored (heads_/expanded_ must
-    // cover every occ_ tile so stripe workers never allocate); flat
-    // windows rebuild below, after the bits are placed.  Neither path
-    // triggers during a sharded parallel phase: the runner only
-    // activates shardSafe() particles there, and defers the rest to its
-    // single-threaded sweep.
-    if (occ_.tiled() && !occ_.coversInterior(target)) {
-      occ_.ensureRegion(target, kPlaneEnsureMargin);
-      heads_.ensureTilesOf(occ_);
-      expanded_.ensureTilesOf(occ_);
-    }
-    occ_.set(target);
-    heads_.set(target);
-    expanded_.set(p.tail);
-    expanded_.set(target);
-    if (!occ_.coversInterior(target)) regrowPlanes();
+  noteMutation();
+  // Keep every particle cell interior so unchecked gathers stay licensed.
+  // Tiled planes only grow: allocating around the escape up front keeps
+  // all three directories mirrored (heads_/expanded_ must cover every
+  // occ_ tile so stripe workers never allocate); flat windows rebuild
+  // below, after the bits are placed.  Neither path triggers during a
+  // sharded parallel phase: the runner only activates shardSafe()
+  // particles there, and defers the rest to its single-threaded sweep.
+  if (occ_.tiled() && !occ_.coversInterior(target)) {
+    occ_.ensureRegion(target, kPlaneEnsureMargin);
+    heads_.ensureTilesOf(occ_);
+    expanded_.ensureTilesOf(occ_);
   }
+  occ_.set(target);
+  heads_.set(target);
+  expanded_.set(p.tail);
+  expanded_.set(target);
+  if (!occ_.coversInterior(target)) regrowPlanes();
 }
 
 void AmoebotSystem::contractToHead(std::size_t id) {
   SOPS_REQUIRE(id < particles_.size(), "contractToHead: bad id");
   Particle& p = particles_[id];
   SOPS_REQUIRE(p.expanded, "contractToHead: particle not expanded");
-  if (gridsOn_) {
-    occ_.clear(p.tail);
-    heads_.clear(p.head);
-    expanded_.clear(p.tail);
-    expanded_.clear(p.head);
-    noteMutation();
-  } else {
-    clearCell(p.tail);
-    setCell(p.head, static_cast<std::int32_t>(id), false);
-  }
+  occ_.clear(p.tail);
+  heads_.clear(p.head);
+  expanded_.clear(p.tail);
+  expanded_.clear(p.head);
+  noteMutation();
   if (maintainCount()) --expandedCount_;
   p.tail = p.head;
   p.expanded = false;
@@ -268,15 +207,11 @@ void AmoebotSystem::contractBack(std::size_t id) {
   SOPS_REQUIRE(id < particles_.size(), "contractBack: bad id");
   Particle& p = particles_[id];
   SOPS_REQUIRE(p.expanded, "contractBack: particle not expanded");
-  if (gridsOn_) {
-    occ_.clear(p.head);
-    heads_.clear(p.head);
-    expanded_.clear(p.tail);
-    expanded_.clear(p.head);
-    noteMutation();
-  } else {
-    clearCell(p.head);
-  }
+  occ_.clear(p.head);
+  heads_.clear(p.head);
+  expanded_.clear(p.tail);
+  expanded_.clear(p.head);
+  noteMutation();
   if (maintainCount()) --expandedCount_;
   p.head = p.tail;
   p.expanded = false;
@@ -310,24 +245,7 @@ void AmoebotSystem::saveState(system::SnapshotWriter& w) const {
     w.u8(p.orientationOffset);
     w.u8(p.expandDir);
   }
-  if (occ_.tiled()) {
-    // Tag 2 (snapshot v3): the exact allocated-tile set, sorted by raw
-    // key so the byte stream is a pure function of state.
-    w.u8(2);
-    const std::vector<std::uint64_t> keys = occ_.sortedTileKeys();
-    w.u64(keys.size());
-    for (const std::uint64_t key : keys) {
-      w.i64(system::BitGrid::tileXOfKey(key));
-      w.i64(system::BitGrid::tileYOfKey(key));
-    }
-  } else {
-    // Tags 0/1 keep frame v2's exact byte layout.
-    w.u8(gridsOn_ ? 1 : 0);
-    w.i64(occ_.originX());
-    w.i64(occ_.originY());
-    w.u64(occ_.width());
-    w.u64(occ_.height());
-  }
+  system::writeGridGeometry(w, occ_);
 }
 
 void AmoebotSystem::restoreState(system::SnapshotReader& r) {
@@ -339,10 +257,10 @@ void AmoebotSystem::restoreState(system::SnapshotReader& r) {
   particles.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
     Particle p;
-    p.tail.x = static_cast<std::int32_t>(r.i64());
-    p.tail.y = static_cast<std::int32_t>(r.i64());
-    p.head.x = static_cast<std::int32_t>(r.i64());
-    p.head.y = static_cast<std::int32_t>(r.i64());
+    p.tail.x = r.coord("particle tail x");
+    p.tail.y = r.coord("particle tail y");
+    p.head.x = r.coord("particle head x");
+    p.head.y = r.coord("particle head y");
     const std::uint8_t flags = r.u8();
     p.expanded = (flags & kFlagExpanded) != 0;
     p.flag = (flags & kFlagMemory) != 0;
@@ -357,64 +275,19 @@ void AmoebotSystem::restoreState(system::SnapshotReader& r) {
                  "snapshot: contracted particle with head != tail");
     particles.push_back(p);
   }
-  const std::uint8_t backend = r.u8();
-  SOPS_REQUIRE(backend <= 2, "snapshot: bad occupancy backend tag");
-  std::vector<std::uint64_t> tileKeys;
-  std::int64_t originX = 0;
-  std::int64_t originY = 0;
-  std::uint64_t width = 0;
-  std::uint64_t height = 0;
-  if (backend == 2) {
-    const std::uint64_t tileCount = r.u64();
-    tileKeys.reserve(static_cast<std::size_t>(tileCount));
-    for (std::uint64_t i = 0; i < tileCount; ++i) {
-      const std::int64_t tx = r.i64();
-      const std::int64_t ty = r.i64();
-      tileKeys.push_back(
-          system::BitGrid::tileKey(static_cast<std::int32_t>(tx),
-                                   static_cast<std::int32_t>(ty)));
-    }
-  } else {
-    originX = r.i64();
-    originY = r.i64();
-    width = r.u64();
-    height = r.u64();
-  }
+  const system::GridGeometry geometry = system::readGridGeometry(r);
 
   particles_ = std::move(particles);
   sharded_ = false;
   recountExpanded();
-  if (backend != 0) {
-    std::vector<TriPoint> cells;
-    cells.reserve(particles_.size() + expandedCount_);
-    for (const Particle& p : particles_) {
-      cells.push_back(p.tail);
-      if (p.expanded) cells.push_back(p.head);
-    }
-    if (backend == 2) {
-      occ_.rebuildTiledExact(cells, tileKeys);
-    } else {
-      occ_.rebuildExact(cells, originX, originY, width, height);
-    }
-    heads_.allocateLike(occ_);
-    expanded_.allocateLike(occ_);
-    for (const Particle& p : particles_) {
-      if (!p.expanded) continue;
-      heads_.set(p.head);
-      expanded_.set(p.tail);
-      expanded_.set(p.head);
-    }
-    gridsOn_ = true;
-    gridsGaveUp_ = false;
-    idIndexDirty_ = true;  // at() rebuilds lazily, as after any mutation
+  if (geometry.tiled) {
+    occ_.rebuildTiledExact(occupiedCells(), geometry.tileKeys);
   } else {
-    gridsGaveUp_ = true;
-    gridsOn_ = false;
-    occ_.disable();
-    heads_.disable();
-    expanded_.disable();
-    rebuildIdIndex();
+    occ_.rebuildExact(occupiedCells(), geometry.originX, geometry.originY,
+                      geometry.width, geometry.height);
   }
+  mirrorPlanes();
+  idIndexDirty_ = true;  // at() rebuilds lazily, as after any mutation
 }
 
 system::ParticleSystem AmoebotSystem::tailConfiguration() const {
@@ -422,15 +295,6 @@ system::ParticleSystem AmoebotSystem::tailConfiguration() const {
   tails.reserve(particles_.size());
   for (const Particle& p : particles_) tails.push_back(p.tail);
   return system::ParticleSystem(tails);
-}
-
-void AmoebotSystem::setCell(TriPoint cell, std::int32_t id, bool isHead) {
-  occupancy_.insertOrAssign(lattice::pack(cell), (id << 1) | (isHead ? 1 : 0));
-}
-
-void AmoebotSystem::clearCell(TriPoint cell) {
-  const bool removed = occupancy_.erase(lattice::pack(cell));
-  SOPS_REQUIRE(removed, "clearCell: cell was not occupied");
 }
 
 }  // namespace sops::amoebot

@@ -30,13 +30,12 @@
 /// Configurations too spread out for one flat window (BitGrid::kMaxWords)
 /// run on the tiled backend: all three planes share one tile directory
 /// layout (heads_/expanded_ always cover every occ_ tile), so the
-/// word-exclusive stripe discipline carries over.  The sparse hash-index
-/// regime survives only behind forceSparseForTest(), exactly like
-/// ParticleSystem.
+/// word-exclusive stripe discipline carries over.  The planes are the
+/// only occupancy representation.
 ///
-/// The cell -> (id << 1 | isHead) hash index is still maintained for id
-/// lookups (at()) and as the sparse fallback; a sharded runner may suspend
-/// it during a concurrent section (see suspendIdIndex()).
+/// The cell -> (id << 1 | isHead) hash index serves id lookups (at())
+/// only; it is rebuilt lazily and a sharded runner may suspend it during
+/// a concurrent section (see suspendIdIndex()).
 
 #include <array>
 #include <cstdint>
@@ -116,24 +115,22 @@ class AmoebotSystem {
   }
 
   /// Requires the id index to be live (it always is outside a sharded
-  /// runner's concurrent section).  While the dense planes are on, the
-  /// index is refreshed lazily here rather than on every expand/contract —
+  /// runner's concurrent section).  The index is refreshed lazily here
+  /// rather than on every expand/contract —
   /// activations never consult it, so the hot path pays one dirty-bit
   /// store instead of hash mutations.  The lazy rebuild allocates, so
   /// (unlike the seed's pure hash probe) this is not noexcept.
   [[nodiscard]] CellView at(TriPoint cell) const;
 
   [[nodiscard]] bool occupied(TriPoint cell) const noexcept {
-    if (gridsOn_) return occ_.test(cell);
-    return occupancy_.contains(lattice::pack(cell));
+    return occ_.test(cell);
   }
 
   /// Occupancy of a cell within graph distance kInteriorMargin of some
   /// particle cell (move targets and neighbor probes qualify): skips the
   /// window bounds check — one word load on the hot path.
   [[nodiscard]] bool occupiedNear(TriPoint cell) const noexcept {
-    if (gridsOn_) return occ_.testUnchecked(cell);
-    return occupancy_.contains(lattice::pack(cell));
+    return occ_.testUnchecked(cell);
   }
 
   /// Translates a particle's private port (0..5) to a global direction.
@@ -202,22 +199,11 @@ class AmoebotSystem {
 
   // --- sharded-execution support (amoebot/parallel_scheduler) ---
 
-  /// True while the dense bit planes are live (the sharded runner requires
-  /// them for its stripe geometry; the forced-sparse test regime falls
-  /// back to the hash index and to sequential execution).
-  [[nodiscard]] bool fastPathEnabled() const noexcept { return gridsOn_; }
-
-  /// Which occupancy regime the planes are running: "dense-flat",
-  /// "dense-tiled", or "sparse" (see ParticleSystem::regimeName).
+  /// Which occupancy backend the planes are running: "dense-flat" or
+  /// "dense-tiled" (see ParticleSystem::regimeName).
   [[nodiscard]] const char* regimeName() const noexcept {
-    if (!gridsOn_) return "sparse";
     return occ_.tiled() ? "dense-tiled" : "dense-flat";
   }
-
-  /// Pins the sparse (hash-only) regime — the organic fallback no longer
-  /// exists now that plane rebuilds promote to tiled, but tests still
-  /// need to exercise the sparse code paths.
-  void forceSparseForTest();
 
   /// The occupancy plane — the sharded runner derives its word-aligned
   /// stripe decomposition from this window's origin.
@@ -236,13 +222,12 @@ class AmoebotSystem {
 
   /// Suspends maintenance of the cell -> id hash index and of
   /// expandedCount() so concurrent stripe workers touch only bit-plane
-  /// words and per-particle state.  Only meaningful while
-  /// fastPathEnabled(); at()/particleAt-style lookups are invalid until
-  /// restoreIdIndex().  The planes never give up mid-section: a flat
-  /// window that outgrows BitGrid::kMaxWords promotes to the tiled
-  /// backend (on the scheduler's single-threaded sweep — stripe workers
-  /// never trigger a regrow), and tiled directories only grow.
-  void suspendIdIndex();
+  /// words and per-particle state; at() lookups are invalid until
+  /// restoreIdIndex().  A flat window that outgrows BitGrid::kMaxWords
+  /// promotes to the tiled backend (on the scheduler's single-threaded
+  /// sweep — stripe workers never trigger a regrow), and tiled
+  /// directories only grow.
+  void suspendIdIndex() noexcept { sharded_ = true; }
 
   /// Rebuilds the id index and expandedCount() from particle state and
   /// resumes maintenance.
@@ -259,15 +244,13 @@ class AmoebotSystem {
 
   /// Inverse of saveState: replaces the particle set wholesale (the
   /// constructor's random orientation draws are overwritten), rebuilds
-  /// the planes with the snapshotted geometry or pins the sparse
-  /// fallback, and recomputes the derived index/counters.
+  /// the planes with the snapshotted geometry, and recomputes the derived
+  /// index/counters.  A tag-0 (retired sparse regime) payload throws.
   void restoreState(system::SnapshotReader& r);
 
  private:
   std::vector<Particle> particles_;
-  /// cell -> (id << 1) | isHead.  Eagerly maintained only in sparse mode
-  /// (it is then the occupancy source of truth); with the planes on it is
-  /// rebuilt lazily by at() / restoreIdIndex() when dirty.
+  /// cell -> (id << 1) | isHead, rebuilt lazily by at() when dirty.
   mutable util::FlatMap64<std::int32_t> occupancy_;
   mutable bool idIndexDirty_ = false;
   std::size_t expandedCount_ = 0;
@@ -275,26 +258,22 @@ class AmoebotSystem {
   system::BitGrid occ_;       ///< all occupied cells (heads + tails)
   system::BitGrid heads_;     ///< heads of expanded particles
   system::BitGrid expanded_;  ///< head and tail cells of expanded particles
-  bool gridsOn_ = false;
-  bool gridsGaveUp_ = false;
   bool sharded_ = false;  ///< between suspendIdIndex() and restoreIdIndex()
 
-  /// Bookkeeping after a mutation: sparse mode keeps the hash eagerly (the
-  /// caller already applied its updates); plane mode just marks the index
-  /// stale; a sharded section does nothing at all (restore rebuilds).
+  /// Bookkeeping after a mutation: mark the index stale; a sharded
+  /// section does nothing at all (restore rebuilds).
   void noteMutation() noexcept {
-    if (gridsOn_ && !sharded_) idIndexDirty_ = true;
+    if (!sharded_) idIndexDirty_ = true;
   }
   /// expandedCount_ must not be touched by concurrent stripe workers; it
-  /// is recomputed on restore (and on plane fallback, where execution is
-  /// single-threaded again).
-  [[nodiscard]] bool maintainCount() const noexcept {
-    return !sharded_ || !gridsOn_;
-  }
+  /// is recomputed on restore.
+  [[nodiscard]] bool maintainCount() const noexcept { return !sharded_; }
 
-  void setCell(TriPoint cell, std::int32_t id, bool isHead);
-  void clearCell(TriPoint cell);
+  /// Every occupied cell: tails, plus heads of expanded particles.
+  [[nodiscard]] std::vector<TriPoint> occupiedCells() const;
   void regrowPlanes();
+  /// Re-derives heads_/expanded_ with occ_'s geometry from particle state.
+  void mirrorPlanes();
   void rebuildIdIndex() const;
   void recountExpanded();
 };

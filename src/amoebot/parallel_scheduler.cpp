@@ -19,13 +19,11 @@ constexpr std::uint64_t kStripeColumns = 64;
 
 /// RAII id-index suspension for one run: restore must happen even when an
 /// epoch throws (ContractViolation, bad_alloc), or the system would be
-/// left with at()/expandedCount() permanently invalid.  restoreIdIndex()
-/// is idempotent, including after a mid-run sparse fallback cleared the
-/// suspension itself.
+/// left with at()/expandedCount() permanently invalid.
 class IdIndexSuspension {
  public:
   explicit IdIndexSuspension(AmoebotSystem& sys) : sys_(sys) {
-    if (sys_.fastPathEnabled()) sys_.suspendIdIndex();
+    sys_.suspendIdIndex();
   }
   ~IdIndexSuspension() { sys_.restoreIdIndex(); }
   IdIndexSuspension(const IdIndexSuspension&) = delete;
@@ -123,123 +121,105 @@ std::uint64_t ShardedPoissonRunner::runEpoch() {
 
   sweepEvents_.clear();
   std::uint64_t executed = 0;
-  bool striped = false;
 
-  const bool tiledGrid = sys_.occupancyGrid().tiled();
-  if (sys_.fastPathEnabled()) {
-    striped = true;
-    const system::BitGrid& grid = sys_.occupancyGrid();
-    const std::int64_t originX = grid.originX();
+  const system::BitGrid& grid = sys_.occupancyGrid();
+  const bool tiledGrid = grid.tiled();
+  const std::int64_t originX = grid.originX();
 
-    activeStripes_.clear();
-    if (tiledGrid) {
-      // The allocated-tile bounding box can span astronomically many
-      // 64-column stripes, so bucket sparsely: stripe index → buffer
-      // slot, slots assigned in first-touch order by this sequential
-      // pass — the same assignment for every thread count.
-      stripeSlots_.clear();
-      stripeIndexOfSlot_.clear();
-      for (std::size_t i = 0; i < sys_.size(); ++i) {
-        if (draws_.count(i) == 0) continue;
-        const auto col = static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(sys_.particle(i).tail.x) - originX);
-        const std::uint64_t stripeIndex = col >> 6;
-        std::size_t slot;
-        if (const std::uint32_t* found = stripeSlots_.find(stripeIndex)) {
-          slot = *found;
-        } else {
-          slot = stripeIndexOfSlot_.size();
-          stripeSlots_.insert(stripeIndex, static_cast<std::uint32_t>(slot));
-          stripeIndexOfSlot_.push_back(stripeIndex);
-          if (stripeParticles_.size() <= slot) {
-            stripeParticles_.resize(slot + 1);
-            stripeEvents_.resize(slot + 1);
-            stripeDeferred_.resize(slot + 1);
-            stripeActivations_.resize(slot + 1);
-            sortScratch_.resize(slot + 1);
-          }
-          stripeParticles_[slot].clear();
-        }
-        stripeParticles_[slot].push_back(static_cast<std::uint32_t>(i));
-      }
-      for (std::size_t slot = 0; slot < stripeIndexOfSlot_.size(); ++slot) {
-        activeStripes_.push_back(slot);
-      }
-      // Canonical merge order: ascending stripe index, matching the flat
-      // path (any fixed order would do — stripes are disjoint in
-      // particles, so the merged schedule is order-independent).
-      std::sort(activeStripes_.begin(), activeStripes_.end(),
-                [&](std::size_t a, std::size_t b) {
-                  return stripeIndexOfSlot_[a] < stripeIndexOfSlot_[b];
-                });
-    } else {
-      // Flat windows keep the dense stripe arrays: stripe count is
-      // bounded by width / 64, and slot == stripe index.
-      const std::size_t stripeCount =
-          static_cast<std::size_t>((grid.width() + kStripeColumns - 1) /
-                                   kStripeColumns);
-      if (stripeParticles_.size() < stripeCount) {
-        stripeParticles_.resize(stripeCount);
-        stripeEvents_.resize(stripeCount);
-        stripeDeferred_.resize(stripeCount);
-        stripeActivations_.resize(stripeCount);
-        sortScratch_.resize(stripeCount);
-      }
-      for (auto& list : stripeParticles_) list.clear();
-
-      for (std::size_t i = 0; i < sys_.size(); ++i) {
-        if (draws_.count(i) == 0) continue;
-        const auto col = static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(sys_.particle(i).tail.x) - originX);
-        stripeParticles_[col >> 6].push_back(static_cast<std::uint32_t>(i));
-      }
-
-      for (std::size_t s = 0; s < stripeCount; ++s) {
-        if (!stripeParticles_[s].empty()) activeStripes_.push_back(s);
-      }
-    }
-    core::parallelForIndex(
-        activeStripes_.size(), options_.threads, [&](std::size_t k) {
-          const std::size_t slot = activeStripes_[k];
-          const std::uint64_t stripeIndex =
-              tiledGrid ? stripeIndexOfSlot_[slot] : slot;
-          runStripe(slot, stripeIndex, originX, epochEnd);
-        });
-    // Merge in stripe order (fixed regardless of which thread ran what).
-    // The sweep schedule is every stripe's deferred list concatenated and
-    // re-sorted once with the epoch bucket sort — not a per-stripe
-    // std::merge cascade, which re-copies the growing queue once per
-    // stripe and goes quadratic on wide tiled windows (thousands of
-    // active stripes).  (time, particle) keys are unique, so the sorted
-    // schedule is byte-identical to the cascade's.
-    for (const std::size_t s : activeStripes_) {
-      executed += stripeActivations_[s];
-      const std::vector<Event>& deferred = stripeDeferred_[s];
-      sweepEvents_.insert(sweepEvents_.end(), deferred.begin(),
-                          deferred.end());
-    }
-    if (!sweepEvents_.empty()) {
-      sortEvents(sweepEvents_, sweepScratch_, now_, epochEnd);
-    }
-  } else {
-    // Sparse fallback: no stripe geometry — the whole epoch runs on the
-    // sweep path in pure (time, particle) order.
-    sweepEvents_.reserve(total);
+  activeStripes_.clear();
+  if (tiledGrid) {
+    // The allocated-tile bounding box can span astronomically many
+    // 64-column stripes, so bucket sparsely: stripe index → buffer
+    // slot, slots assigned in first-touch order by this sequential
+    // pass — the same assignment for every thread count.
+    stripeSlots_.clear();
+    stripeIndexOfSlot_.clear();
     for (std::size_t i = 0; i < sys_.size(); ++i) {
-      const std::uint64_t end = draws_.offsets[i + 1];
-      for (std::uint64_t k = draws_.offsets[i]; k < end; ++k) {
-        sweepEvents_.push_back(
-            {draws_.times[k], static_cast<std::uint32_t>(i)});
+      if (draws_.count(i) == 0) continue;
+      const auto col = static_cast<std::uint64_t>(
+          static_cast<std::int64_t>(sys_.particle(i).tail.x) - originX);
+      const std::uint64_t stripeIndex = col >> 6;
+      std::size_t slot;
+      if (const std::uint32_t* found = stripeSlots_.find(stripeIndex)) {
+        slot = *found;
+      } else {
+        slot = stripeIndexOfSlot_.size();
+        stripeSlots_.insert(stripeIndex, static_cast<std::uint32_t>(slot));
+        stripeIndexOfSlot_.push_back(stripeIndex);
+        if (stripeParticles_.size() <= slot) {
+          stripeParticles_.resize(slot + 1);
+          stripeEvents_.resize(slot + 1);
+          stripeDeferred_.resize(slot + 1);
+          stripeActivations_.resize(slot + 1);
+          sortScratch_.resize(slot + 1);
+        }
+        stripeParticles_[slot].clear();
       }
+      stripeParticles_[slot].push_back(static_cast<std::uint32_t>(i));
     }
+    for (std::size_t slot = 0; slot < stripeIndexOfSlot_.size(); ++slot) {
+      activeStripes_.push_back(slot);
+    }
+    // Canonical merge order: ascending stripe index, matching the flat
+    // path (any fixed order would do — stripes are disjoint in
+    // particles, so the merged schedule is order-independent).
+    std::sort(activeStripes_.begin(), activeStripes_.end(),
+              [&](std::size_t a, std::size_t b) {
+                return stripeIndexOfSlot_[a] < stripeIndexOfSlot_[b];
+              });
+  } else {
+    // Flat windows keep the dense stripe arrays: stripe count is
+    // bounded by width / 64, and slot == stripe index.
+    const std::size_t stripeCount =
+        static_cast<std::size_t>((grid.width() + kStripeColumns - 1) /
+                                 kStripeColumns);
+    if (stripeParticles_.size() < stripeCount) {
+      stripeParticles_.resize(stripeCount);
+      stripeEvents_.resize(stripeCount);
+      stripeDeferred_.resize(stripeCount);
+      stripeActivations_.resize(stripeCount);
+      sortScratch_.resize(stripeCount);
+    }
+    for (auto& list : stripeParticles_) list.clear();
+
+    for (std::size_t i = 0; i < sys_.size(); ++i) {
+      if (draws_.count(i) == 0) continue;
+      const auto col = static_cast<std::uint64_t>(
+          static_cast<std::int64_t>(sys_.particle(i).tail.x) - originX);
+      stripeParticles_[col >> 6].push_back(static_cast<std::uint32_t>(i));
+    }
+
+    for (std::size_t s = 0; s < stripeCount; ++s) {
+      if (!stripeParticles_[s].empty()) activeStripes_.push_back(s);
+    }
+  }
+  core::parallelForIndex(
+      activeStripes_.size(), options_.threads, [&](std::size_t k) {
+        const std::size_t slot = activeStripes_[k];
+        const std::uint64_t stripeIndex =
+            tiledGrid ? stripeIndexOfSlot_[slot] : slot;
+        runStripe(slot, stripeIndex, originX, epochEnd);
+      });
+  // Merge in stripe order (fixed regardless of which thread ran what).
+  // The sweep schedule is every stripe's deferred list concatenated and
+  // re-sorted once with the epoch bucket sort — not a per-stripe
+  // std::merge cascade, which re-copies the growing queue once per
+  // stripe and goes quadratic on wide tiled windows (thousands of
+  // active stripes).  (time, particle) keys are unique, so the sorted
+  // schedule is byte-identical to the cascade's.
+  for (const std::size_t s : activeStripes_) {
+    executed += stripeActivations_[s];
+    const std::vector<Event>& deferred = stripeDeferred_[s];
+    sweepEvents_.insert(sweepEvents_.end(), deferred.begin(), deferred.end());
+  }
+  if (!sweepEvents_.empty()) {
     sortEvents(sweepEvents_, sweepScratch_, now_, epochEnd);
   }
 
   // Adapt the next epoch's target from the deferred fraction — a pure
   // function of the seeded trajectory, so every thread count computes the
-  // same schedule.  The sparse regime leaves the target alone (everything
-  // is "deferred" there, which says nothing about stripe balance).
-  if (adaptive_ && striped) {
+  // same schedule.
+  if (adaptive_) {
     epochTarget_ = controller_.update(sweepEvents_.size(), total);
     epochLength_ = static_cast<double>(epochTarget_) / clock_.totalRate();
   }

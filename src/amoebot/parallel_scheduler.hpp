@@ -54,9 +54,7 @@
 /// are 64-aligned), but stripes are keyed sparsely (util::FlatMap64)
 /// because the allocated-tile bounding box can span astronomically many
 /// columns; slots are assigned in a sequential first-touch pass that is
-/// the same for every thread count.  Only the forced-sparse test regime
-/// (AmoebotSystem::fastPathEnabled() false) degrades to running every
-/// event on the sweep path — same trajectory contract, no parallelism.
+/// the same for every thread count.
 
 #include <cstdint>
 #include <vector>

@@ -12,7 +12,7 @@
 /// accepted moves (BiasedChainEngine::step maintains it for models that
 /// declare kNeedsPartnerIds).
 ///
-/// Three modes, selected by sync() from the grid's shape:
+/// Two modes, selected by sync() from the grid's shape:
 ///
 ///   Flat   — one contiguous u32 mirror of a flat occupancy window whose
 ///            area fits kMaxCells: exactly the pre-tiled fast path.
@@ -25,8 +25,9 @@
 ///            the grid grows — no O(n) rebuild per window event, which is
 ///            what used to force the sharded runner back to sequential
 ///            epochs past kMaxCells.
-///   Inactive — the system runs sparse; callers fall back to
-///            ParticleSystem::particleAt.
+///
+/// A third state, Inactive, means "not built yet": a fresh or
+/// invalidated plane, rebuilt by the next sync().
 ///
 /// Paged-mode invariant: every particle's current position has its page
 /// allocated and holding its id (the initial build allocates a
@@ -90,31 +91,25 @@ class ParticleIdPlane {
   }
 
   /// True when the plane tracks accepted moves incrementally — the licence
-  /// for idAtUnchecked()/move() in either dense mode.  False means callers
-  /// must sync() (sequential contexts) or fall back to particleAt.
+  /// for idAtUnchecked()/move() in either mode.  False means callers must
+  /// sync() first (sequential contexts only).
   [[nodiscard]] bool tracksMoves(const system::BitGrid& grid) const noexcept {
     if (mode_ == Mode::Flat) return syncedWith(grid);
     return mode_ == Mode::Paged && pagedValid_;
   }
 
-  /// Ensures the plane mirrors sys.grid(); returns false (deactivated)
-  /// only when the system runs sparse.  Flat windows past kMaxCells and
-  /// tiled grids build the paged mode; a valid paged plane is a no-op
-  /// here (its absolute-keyed content survives grid growth).
-  bool sync(const system::ParticleSystem& sys) {
+  /// Ensures the plane mirrors sys.grid().  Flat windows up to kMaxCells
+  /// build the flat mode; larger ones and tiled grids build the paged
+  /// mode, and a valid paged plane is a no-op here (its absolute-keyed
+  /// content survives grid growth).
+  void sync(const system::ParticleSystem& sys) {
     const system::BitGrid& grid = sys.grid();
-    if (!grid.enabled()) {
-      invalidate();
-      return false;
-    }
     if (!grid.tiled() && grid.width() * grid.height() <= kMaxCells) {
-      if (syncedWith(grid)) return true;
-      buildFlat(sys, grid);
-      return true;
+      if (!syncedWith(grid)) buildFlat(sys, grid);
+      return;
     }
-    if (mode_ == Mode::Paged && pagedValid_) return true;
+    if (mode_ == Mode::Paged && pagedValid_) return;
     buildPaged(sys);
-    return true;
   }
 
   /// Forces the next sync() to rebuild from scratch.  Required after the
@@ -206,9 +201,10 @@ class ParticleIdPlane {
   /// Serializes what restore cannot re-derive: in Paged mode the exact
   /// page directory (the sharded runner's deferral predicate is a
   /// function of the allocated-page set, so resume must reproduce it
-  /// verbatim).  Flat/Inactive planes write only a tag — a flat rebuild
-  /// from the restored grid is exact.  Ids themselves are never written;
-  /// they are rebuilt from particle positions.
+  /// verbatim).  Flat/Inactive planes write only tag 0 ("rebuild from the
+  /// grid") — a flat rebuild from the restored grid is exact.  Ids
+  /// themselves are never written; they are rebuilt from particle
+  /// positions.
   void saveState(system::SnapshotWriter& w) const {
     const bool paged = mode_ == Mode::Paged && pagedValid_;
     w.u8(paged ? static_cast<std::uint8_t>(Mode::Paged)
@@ -241,10 +237,10 @@ class ParticleIdPlane {
     }
     invalidate();
     mode_ = Mode::Paged;
-    const std::uint64_t count = r.u64();
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const std::int64_t px = r.i64();
-      const std::int64_t py = r.i64();
+    const std::size_t count = r.count(16, "id-plane page");
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::int64_t px = r.coord("id-plane page x");
+      const std::int64_t py = r.coord("id-plane page y");
       SOPS_REQUIRE(!pages_.contains(pageKey(px, py)),
                    "snapshot: duplicate id-plane page");
       ensurePage(px, py);

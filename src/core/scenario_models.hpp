@@ -19,12 +19,10 @@
 /// occupancy window (BitGrid::allocateLike) — so every Δhom / Δali is one
 /// or two word gathers, and every Metropolis threshold is a load from an
 /// 11/13/21-entry power table built with the shared core::lambdaPower.
-/// No std::pow and no hash probe runs on the accept path.
-///
-/// When the system degrades to its sparse hash index (window cap), the
-/// models degrade with it: neighbor classes are then resolved through
-/// particleAt().  tests/biased_engine_test.cpp pins the dense and sparse
-/// paths to the identical trajectory.
+/// No std::pow and no hash probe runs on the accept path.  The planes
+/// follow the system's grid through both of its backends (flat window
+/// and tiled directory); tests/biased_engine_test.cpp pins the separation
+/// model to the hash-index reference chain draw for draw.
 
 #include <bit>
 #include <cstdint>
@@ -40,8 +38,8 @@
 namespace sops::core {
 
 /// K shadow bit planes kept geometry-aligned with a ParticleSystem's
-/// occupancy grid.  sync() detects geometry changes (and the sparse
-/// fallback) by fingerprinting the grid — origin/size plus the grid's
+/// occupancy grid.  sync() detects geometry changes by fingerprinting the
+/// grid — origin/size plus the grid's
 /// geometryVersion().  A flat-window change rebuilds the planes from
 /// scratch — O(n), amortized by the system's own O(log drift) rebuild
 /// schedule.  A *tiled* grid never rebuilds, it only allocates tiles, and
@@ -61,22 +59,18 @@ class ShadowPlanes {
   }
 
   /// Ensures the planes mirror sys.grid(); classOf(particle) ∈ [0, K) maps
-  /// each particle to its plane.  Returns false (sparse mode) when the
-  /// system itself runs without a dense grid.
+  /// each particle to its plane.  Precondition: sys is non-empty (an
+  /// empty system has no grid to mirror).
   template <typename ClassOf>
-  bool sync(const system::ParticleSystem& sys, ClassOf&& classOf) {
+  void sync(const system::ParticleSystem& sys, ClassOf&& classOf) {
     const system::BitGrid& grid = sys.grid();
-    if (!grid.enabled()) {
-      dense_ = false;
-      return false;
-    }
-    if (syncedWith(grid)) return true;
+    if (syncedWith(grid)) return;
     if (dense_ && grid.tiled() && planes_[0].tiled()) {
       // Tiled growth: the directory gained tiles but no bit moved (tiles
       // are absolutely anchored), so the planes just follow the directory.
       for (auto& plane : planes_) plane.ensureTilesOf(grid);
       fingerprint(grid);
-      return true;
+      return;
     }
     for (auto& plane : planes_) plane.allocateLike(grid);
     for (std::size_t i = 0; i < sys.size(); ++i) {
@@ -84,7 +78,6 @@ class ShadowPlanes {
     }
     fingerprint(grid);
     dense_ = true;
-    return true;
   }
 
   /// Forces the next sync() to rebuild from scratch — used after a model
@@ -116,23 +109,6 @@ class ShadowPlanes {
   std::uint64_t gridVersion_ = 0;
   bool dense_ = false;
 };
-
-/// Sparse-fallback class query shared by the separation and alignment
-/// models (the reference SeparationChain keeps its own copy by design):
-/// neighbors of `cell` whose per-particle class equals `classValue`,
-/// skipping `exclude`, resolved through the hash index.
-[[nodiscard]] inline int sameClassNeighbors(
-    const system::ParticleSystem& sys, std::span<const std::uint8_t> classes,
-    TriPoint cell, std::uint8_t classValue, TriPoint exclude) {
-  int count = 0;
-  for (const Direction d : lattice::kAllDirections) {
-    const TriPoint q = lattice::neighbor(cell, d);
-    if (q == exclude) continue;
-    const auto id = sys.particleAt(q);
-    if (id.has_value() && classes[*id] == classValue) ++count;
-  }
-  return count;
-}
 
 /// Induced edges whose endpoints share a class — the exact hom(σ) / ali(σ)
 /// recount behind both models' observables.
@@ -245,7 +221,7 @@ class SeparationModel {
 
   void attach(const system::ParticleSystem& sys) {
     SOPS_REQUIRE(colors_.size() == sys.size(), "one color per particle");
-    planes_.sync(sys, [this](std::size_t i) { return colors_[i]; });
+    syncPlanes(sys);
   }
 
   /// γ^{Δhom} for the movement (l → l+d) of `particle`.  Dense: one ring
@@ -253,18 +229,13 @@ class SeparationModel {
   /// load.
   double movementFactor(const system::ParticleSystem& sys, std::size_t particle,
                         TriPoint l, Direction d, std::uint8_t /*ringOcc*/) {
-    const std::uint8_t color = colors_[particle];
-    int delta;
-    if (planes_.sync(sys, [this](std::size_t i) { return colors_[i]; })) {
-      const std::uint8_t ringSame =
-          planes_.plane(color).ringMaskUnchecked(l, lattice::index(d));
-      delta = std::popcount(static_cast<unsigned>(ringSame & kAfterMask)) -
-              std::popcount(static_cast<unsigned>(ringSame & kBeforeMask));
-    } else {
-      const TriPoint target = lattice::neighbor(l, d);
-      delta = sameClassNeighbors(sys, colors_, target, color, l) -
-              sameClassNeighbors(sys, colors_, l, color, target);
-    }
+    syncPlanes(sys);
+    const std::uint8_t ringSame =
+        planes_.plane(colors_[particle])
+            .ringMaskUnchecked(l, lattice::index(d));
+    const int delta =
+        std::popcount(static_cast<unsigned>(ringSame & kAfterMask)) -
+        std::popcount(static_cast<unsigned>(ringSame & kBeforeMask));
     return movePow_[static_cast<std::size_t>(delta + kMaxMoveDelta)];
   }
 
@@ -274,9 +245,7 @@ class SeparationModel {
     // grew tiles.  After a flat rebuild the planes were reconstructed from
     // post-move positions, so the clear/set below are no-ops; after tiled
     // growth they are the move's one real update.
-    if (!planes_.sync(sys, [this](std::size_t i) { return colors_[i]; })) {
-      return;
-    }
+    syncPlanes(sys);
     system::BitGrid& plane = planes_.plane(colors_[particle]);
     plane.clear(from);
     plane.set(to);
@@ -296,8 +265,8 @@ class SeparationModel {
   /// partition its occupancy, and kBeforeMask/kAfterMask split it into
   /// N(p)\{q} and N(q)\{p}, so the heterochromatic p—q edge is excluded by
   /// construction.  The partner's id for an accepted swap is one load of
-  /// the engine-maintained id plane (hash probe only when the plane is
-  /// momentarily out of sync, e.g. right after a window regrow).
+  /// the engine-maintained id plane, which every caller keeps in sync
+  /// across accepted moves and window regrows.
   /// (particle, draw6) are the engine's hoisted draws; draw6 is the
   /// direction of the candidate edge.
   AuxOutcome auxStep(system::ParticleSystem& sys, const ParticleIdPlane& ids,
@@ -306,55 +275,35 @@ class SeparationModel {
     const TriPoint p = sys.position(particle);
     const TriPoint q = lattice::neighbor(p, d);
     const std::uint8_t colorP = colors_[particle];
-    if (planes_.sync(sys, [this](std::size_t i) { return colors_[i]; })) {
-      if (!sys.occupiedNear(q)) return AuxOutcome::Skipped;
-      const std::uint8_t colorQ =
-          planes_.plane(1).testUnchecked(q) ? std::uint8_t{1} : std::uint8_t{0};
-      if (colorQ == colorP) return AuxOutcome::Skipped;
-      const std::uint8_t ringP =
-          planes_.plane(colorP).ringMaskUnchecked(p, lattice::index(d));
-      const std::uint8_t ringQ =
-          planes_.plane(colorQ).ringMaskUnchecked(p, lattice::index(d));
-      const int before =
-          std::popcount(static_cast<unsigned>(ringP & kBeforeMask)) +
-          std::popcount(static_cast<unsigned>(ringQ & kAfterMask));
-      const int after =
-          std::popcount(static_cast<unsigned>(ringQ & kBeforeMask)) +
-          std::popcount(static_cast<unsigned>(ringP & kAfterMask));
-      const double threshold =
-          swapPow_[static_cast<std::size_t>(after - before + kMaxSwapDelta)];
-      if (threshold >= 1.0 || rng.uniform() < threshold) {
-        const std::size_t other =
-            ids.tracksMoves(sys.grid())
-                ? static_cast<std::size_t>(ids.idAtUnchecked(q))
-                : *sys.particleAt(q);
-        // Position-based identity check: valid under the sharded runner's
-        // index suspension, where particleAt() would read a stale index.
-        SOPS_DASSERT(sys.position(other) == q);
-        colors_[particle] = colorQ;
-        colors_[other] = colorP;
-        planes_.plane(colorP).clear(p);
-        planes_.plane(colorQ).set(p);
-        planes_.plane(colorQ).clear(q);
-        planes_.plane(colorP).set(q);
-        return AuxOutcome::Accepted;
-      }
-      return AuxOutcome::Rejected;
-    }
-    // Sparse fallback: identical decision sequence through the hash index.
-    const auto other = sys.particleAt(q);
-    if (!other.has_value()) return AuxOutcome::Skipped;
-    const std::uint8_t colorQ = colors_[*other];
+    syncPlanes(sys);
+    if (!sys.occupiedNear(q)) return AuxOutcome::Skipped;
+    const std::uint8_t colorQ =
+        planes_.plane(1).testUnchecked(q) ? std::uint8_t{1} : std::uint8_t{0};
     if (colorQ == colorP) return AuxOutcome::Skipped;
-    const int before = sameClassNeighbors(sys, colors_, p, colorP, q) +
-                       sameClassNeighbors(sys, colors_, q, colorQ, p);
-    const int after = sameClassNeighbors(sys, colors_, p, colorQ, q) +
-                      sameClassNeighbors(sys, colors_, q, colorP, p);
+    const std::uint8_t ringP =
+        planes_.plane(colorP).ringMaskUnchecked(p, lattice::index(d));
+    const std::uint8_t ringQ =
+        planes_.plane(colorQ).ringMaskUnchecked(p, lattice::index(d));
+    const int before =
+        std::popcount(static_cast<unsigned>(ringP & kBeforeMask)) +
+        std::popcount(static_cast<unsigned>(ringQ & kAfterMask));
+    const int after =
+        std::popcount(static_cast<unsigned>(ringQ & kBeforeMask)) +
+        std::popcount(static_cast<unsigned>(ringP & kAfterMask));
     const double threshold =
         swapPow_[static_cast<std::size_t>(after - before + kMaxSwapDelta)];
     if (threshold >= 1.0 || rng.uniform() < threshold) {
+      SOPS_DASSERT(ids.tracksMoves(sys.grid()));
+      const auto other = static_cast<std::size_t>(ids.idAtUnchecked(q));
+      // Position-based identity check: valid under the sharded runner's
+      // index suspension, where particleAt() would read a stale index.
+      SOPS_DASSERT(sys.position(other) == q);
       colors_[particle] = colorQ;
-      colors_[*other] = colorP;
+      colors_[other] = colorP;
+      planes_.plane(colorP).clear(p);
+      planes_.plane(colorQ).set(p);
+      planes_.plane(colorQ).clear(q);
+      planes_.plane(colorP).set(q);
       return AuxOutcome::Accepted;
     }
     return AuxOutcome::Rejected;
@@ -394,6 +343,10 @@ class SeparationModel {
   }
 
  private:
+  void syncPlanes(const system::ParticleSystem& sys) {
+    planes_.sync(sys, [this](std::size_t i) { return colors_[i]; });
+  }
+
   Options options_;
   std::vector<std::uint8_t> colors_;
   ShadowPlanes<2> planes_;
@@ -461,25 +414,20 @@ class AlignmentModel {
   void attach(const system::ParticleSystem& sys) {
     SOPS_REQUIRE(orientations_.size() == sys.size(),
                  "one orientation per particle");
-    planes_.sync(sys, [this](std::size_t i) { return orientations_[i]; });
+    syncPlanes(sys);
   }
 
   /// κ^{Δali} for the movement (l → l+d) of `particle`: one ring gather of
   /// the particle's own orientation plane.
   double movementFactor(const system::ParticleSystem& sys, std::size_t particle,
                         TriPoint l, Direction d, std::uint8_t /*ringOcc*/) {
-    const std::uint8_t orientation = orientations_[particle];
-    int delta;
-    if (planes_.sync(sys, [this](std::size_t i) { return orientations_[i]; })) {
-      const std::uint8_t ringSame =
-          planes_.plane(orientation).ringMaskUnchecked(l, lattice::index(d));
-      delta = std::popcount(static_cast<unsigned>(ringSame & kAfterMask)) -
-              std::popcount(static_cast<unsigned>(ringSame & kBeforeMask));
-    } else {
-      const TriPoint target = lattice::neighbor(l, d);
-      delta = sameClassNeighbors(sys, orientations_, target, orientation, l) -
-              sameClassNeighbors(sys, orientations_, l, orientation, target);
-    }
+    syncPlanes(sys);
+    const std::uint8_t ringSame =
+        planes_.plane(orientations_[particle])
+            .ringMaskUnchecked(l, lattice::index(d));
+    const int delta =
+        std::popcount(static_cast<unsigned>(ringSame & kAfterMask)) -
+        std::popcount(static_cast<unsigned>(ringSame & kBeforeMask));
     return movePow_[static_cast<std::size_t>(delta + kMaxMoveDelta)];
   }
 
@@ -487,10 +435,7 @@ class AlignmentModel {
                TriPoint from, TriPoint to) {
     // See SeparationModel::onMoved: sync first, then apply (no-ops after a
     // flat rebuild, the real update after tiled growth).
-    if (!planes_.sync(sys,
-                      [this](std::size_t i) { return orientations_[i]; })) {
-      return;
-    }
+    syncPlanes(sys);
     system::BitGrid& plane = planes_.plane(orientations_[particle]);
     plane.clear(from);
     plane.set(to);
@@ -515,26 +460,18 @@ class AlignmentModel {
     const std::uint8_t current = orientations_[particle];
     if (proposed == current) return AuxOutcome::Skipped;
     const TriPoint p = sys.position(particle);
-    int delta;
-    const bool dense =
-        planes_.sync(sys, [this](std::size_t i) { return orientations_[i]; });
-    if (dense) {
-      delta = std::popcount(static_cast<unsigned>(
-                  planes_.plane(proposed).neighborMaskUnchecked(p))) -
-              std::popcount(static_cast<unsigned>(
-                  planes_.plane(current).neighborMaskUnchecked(p)));
-    } else {
-      delta = sameClassNeighbors(sys, orientations_, p, proposed, p) -
-              sameClassNeighbors(sys, orientations_, p, current, p);
-    }
+    syncPlanes(sys);
+    const int delta =
+        std::popcount(static_cast<unsigned>(
+            planes_.plane(proposed).neighborMaskUnchecked(p))) -
+        std::popcount(static_cast<unsigned>(
+            planes_.plane(current).neighborMaskUnchecked(p)));
     const double threshold =
         rotationPow_[static_cast<std::size_t>(delta + kMaxRotationDelta)];
     if (threshold >= 1.0 || rng.uniform() < threshold) {
       orientations_[particle] = proposed;
-      if (dense) {
-        planes_.plane(current).clear(p);
-        planes_.plane(proposed).set(p);
-      }
+      planes_.plane(current).clear(p);
+      planes_.plane(proposed).set(p);
       return AuxOutcome::Accepted;
     }
     return AuxOutcome::Rejected;
@@ -566,6 +503,10 @@ class AlignmentModel {
   }
 
  private:
+  void syncPlanes(const system::ParticleSystem& sys) {
+    planes_.sync(sys, [this](std::size_t i) { return orientations_[i]; });
+  }
+
   Options options_;
   std::vector<std::uint8_t> orientations_;
   ShadowPlanes<static_cast<std::size_t>(kOrientations)> planes_;

@@ -91,9 +91,9 @@
 /// (pre-registered thresholds, tests/sharded_chain_test.cpp) — the same
 /// style of evidence PR 2 established for the sharded amoebot runner.
 ///
-/// During epochs over the dense window the ParticleSystem's cell→id hash
-/// index — the one structure every move would otherwise share — is
-/// suspended (ParticleSystem::suspendIndex) and restored on exit.
+/// During epochs the ParticleSystem's cell→id hash index — the one
+/// structure every move would otherwise share — is suspended
+/// (ParticleSystem::suspendIndex) and restored on exit.
 ///
 /// **Tiled windows.**  Configurations too spread out for one flat window
 /// run on BitGrid's tiled backend: same word-exclusive stripe discipline
@@ -104,11 +104,7 @@
 /// the same for every thread count.  Pair-move models additionally defer
 /// events whose neighborhood the paged partner-id plane does not cover
 /// (ParticleIdPlane::coversNear) — directory growth, like window growth,
-/// belongs to the sequential pre-phase and sweep only.  The sparse
-/// (hash-only) regime survives solely behind
-/// ParticleSystem::forceSparseForTest() and snapshots of such runs:
-/// every event runs on the sweep path, same trajectory contract, no
-/// parallelism.
+/// belongs to the sequential pre-phase and sweep only.
 
 #include <algorithm>
 #include <cstdint>
@@ -398,9 +394,8 @@ class ShardedChainRunner {
   };
 
   /// RAII index restoration for one run (suspension itself is per-epoch,
-  /// decided by runEpoch's regime check): restore must happen even when
-  /// an epoch throws, and is idempotent — including after a mid-run
-  /// fallback already restored the index (ParticleSystem::moveParticle).
+  /// in runEpoch's pre-phase): restore must happen even when an epoch
+  /// throws, and is idempotent.
   class IndexRestore {
    public:
     explicit IndexRestore(system::ParticleSystem& sys) : sys_(sys) {}
@@ -547,149 +542,125 @@ class ShardedChainRunner {
 
     sweepQueue_.clear();
     std::uint64_t executed = 0;
-    bool striped = false;
 
-    if (system_.grid().enabled()) {
-      striped = true;
-      // Pre-phase plane sync on the coordinating thread: with the window
-      // geometry fixed for the whole stripe phase (window-edge events are
-      // deferred), no shadow-plane or id-plane rebuild can trigger inside
-      // a worker.  The paged id plane allocates its directory here (or on
-      // the sweep), never inside a stripe — events its coverage misses
-      // are deferred by runStripe's predicate.  The id index is the one
-      // structure every move shares; suspend it for the phase (idempotent
-      // across epochs).
-      model_.attach(system_);
-      if constexpr (kMaintainsIds) {
-        const bool ready = partnerIds_.sync(system_);
-        SOPS_DASSERT(ready);  // false only for a disabled grid
-        (void)ready;
-      }
-      system_.suspendIndex();
+    // Pre-phase plane sync on the coordinating thread: with the window
+    // geometry fixed for the whole stripe phase (window-edge events are
+    // deferred), no shadow-plane or id-plane rebuild can trigger inside
+    // a worker.  The paged id plane allocates its directory here (or on
+    // the sweep), never inside a stripe — events its coverage misses
+    // are deferred by runStripe's predicate.  The id index is the one
+    // structure every move shares; suspend it for the phase (idempotent
+    // across epochs).
+    model_.attach(system_);
+    if constexpr (kMaintainsIds) partnerIds_.sync(system_);
+    system_.suspendIndex();
 
-      const system::BitGrid& grid = system_.grid();
-      const std::int64_t originX = grid.originX();
-      const bool tiledGrid = grid.tiled();
+    const system::BitGrid& grid = system_.grid();
+    const std::int64_t originX = grid.originX();
+    const bool tiledGrid = grid.tiled();
 
-      activeStripes_.clear();
-      if (tiledGrid) {
-        // The allocated-tile bounding box can span astronomically many
-        // 64-column stripes, so bucket sparsely: stripe index → buffer
-        // slot, slots assigned in first-touch order by this sequential
-        // pass — the same assignment for every thread count.  Tile
-        // columns are 64-aligned (kTileWidth is a multiple of 64) and
-        // originX is tile-aligned, so stripe boundaries still never
-        // split a word of any plane.
-        stripeSlots_.clear();
-        stripeIndexOfSlot_.clear();
-        for (std::size_t i = 0; i < system_.size(); ++i) {
-          if (draws_.count(i) == 0) continue;
-          const auto col = static_cast<std::uint64_t>(
-              static_cast<std::int64_t>(system_.position(i).x) - originX);
-          const std::uint64_t stripeIndex = col >> 6;
-          std::size_t slot;
-          if (const std::uint32_t* found = stripeSlots_.find(stripeIndex)) {
-            slot = *found;
-          } else {
-            slot = stripeIndexOfSlot_.size();
-            stripeSlots_.insert(stripeIndex,
-                                static_cast<std::uint32_t>(slot));
-            stripeIndexOfSlot_.push_back(stripeIndex);
-            if (stripeParticles_.size() <= slot) {
-              stripeParticles_.resize(slot + 1);
-              stripeEvents_.resize(slot + 1);
-              stripeDeferred_.resize(slot + 1);
-              stripeTally_.resize(slot + 1);
-              sortScratch_.resize(slot + 1);
-            }
-            stripeParticles_[slot].clear();
-          }
-          stripeParticles_[slot].push_back(static_cast<std::uint32_t>(i));
-        }
-        for (std::size_t slot = 0; slot < stripeIndexOfSlot_.size(); ++slot) {
-          activeStripes_.push_back(slot);
-        }
-        // Canonical merge order: ascending stripe index, matching the
-        // flat path (any fixed order would do — stripes are disjoint in
-        // particles, so the merged schedule is order-independent).
-        std::sort(activeStripes_.begin(), activeStripes_.end(),
-                  [&](std::size_t a, std::size_t b) {
-                    return stripeIndexOfSlot_[a] < stripeIndexOfSlot_[b];
-                  });
-      } else {
-        // Flat windows keep the dense stripe arrays: stripe count is
-        // bounded by width / 64, and slot == stripe index.
-        const auto stripeCount = static_cast<std::size_t>(
-            (grid.width() + kStripeColumns - 1) / kStripeColumns);
-        if (stripeParticles_.size() < stripeCount) {
-          stripeParticles_.resize(stripeCount);
-          stripeEvents_.resize(stripeCount);
-          stripeDeferred_.resize(stripeCount);
-          stripeTally_.resize(stripeCount);
-          sortScratch_.resize(stripeCount);
-        }
-        for (auto& list : stripeParticles_) list.clear();
-
-        for (std::size_t i = 0; i < system_.size(); ++i) {
-          if (draws_.count(i) == 0) continue;
-          const auto col = static_cast<std::uint64_t>(
-              static_cast<std::int64_t>(system_.position(i).x) - originX);
-          stripeParticles_[col >> 6].push_back(static_cast<std::uint32_t>(i));
-        }
-
-        for (std::size_t s = 0; s < stripeCount; ++s) {
-          if (!stripeParticles_[s].empty()) activeStripes_.push_back(s);
-        }
-      }
-      core::parallelForIndex(
-          activeStripes_.size(), options_.threads, [&](std::size_t k) {
-            const std::size_t slot = activeStripes_[k];
-            const std::uint64_t stripeIndex =
-                tiledGrid ? stripeIndexOfSlot_[slot] : slot;
-            runStripe(slot, stripeIndex, originX, epochEnd);
-          });
-      // Merge in stripe order (fixed regardless of which thread ran
-      // what): totals are sums, so any fixed order gives the same state.
-      // The sweep schedule is assembled by concatenating every stripe's
-      // deferred list and re-sorting once with the epoch bucket sort —
-      // NOT by a per-stripe std::merge cascade, which re-copies the
-      // growing queue once per stripe and goes quadratic on wide tiled
-      // windows (a 3e5-particle line spans ~4700 active stripes; the
-      // cascade was >70 % of its epoch time).  (time, particle) keys are
-      // unique, so the sorted schedule is byte-identical to the cascade's.
-      for (const std::size_t s : activeStripes_) {
-        executed += stripeTally_[s].stats.steps;
-        edges_ += stripeTally_[s].edgeDelta;
-        stats_.merge(stripeTally_[s].stats);
-        const std::vector<Event>& deferred = stripeDeferred_[s];
-        sweepQueue_.insert(sweepQueue_.end(), deferred.begin(), deferred.end());
-      }
-      if (!sweepQueue_.empty()) {
-        sortEvents(sweepQueue_, sweepScratch_, now_, epochEnd);
-      }
-    } else {
-      // Sparse regime (forced for tests, or restored from a snapshot of
-      // such a run): no stripe geometry, so the whole epoch runs on the
-      // sweep path in pure (time, particle) order with the index live.
-      system_.restoreIndex();
-      sweepQueue_.reserve(total);
+    activeStripes_.clear();
+    if (tiledGrid) {
+      // The allocated-tile bounding box can span astronomically many
+      // 64-column stripes, so bucket sparsely: stripe index → buffer
+      // slot, slots assigned in first-touch order by this sequential
+      // pass — the same assignment for every thread count.  Tile
+      // columns are 64-aligned (kTileWidth is a multiple of 64) and
+      // originX is tile-aligned, so stripe boundaries still never
+      // split a word of any plane.
+      stripeSlots_.clear();
+      stripeIndexOfSlot_.clear();
       for (std::size_t i = 0; i < system_.size(); ++i) {
-        const std::uint64_t end = draws_.offsets[i + 1];
-        for (std::uint64_t k = draws_.offsets[i]; k < end; ++k) {
-          sweepQueue_.push_back(
-              {draws_.times[k], static_cast<std::uint32_t>(i)});
+        if (draws_.count(i) == 0) continue;
+        const auto col = static_cast<std::uint64_t>(
+            static_cast<std::int64_t>(system_.position(i).x) - originX);
+        const std::uint64_t stripeIndex = col >> 6;
+        std::size_t slot;
+        if (const std::uint32_t* found = stripeSlots_.find(stripeIndex)) {
+          slot = *found;
+        } else {
+          slot = stripeIndexOfSlot_.size();
+          stripeSlots_.insert(stripeIndex,
+                              static_cast<std::uint32_t>(slot));
+          stripeIndexOfSlot_.push_back(stripeIndex);
+          if (stripeParticles_.size() <= slot) {
+            stripeParticles_.resize(slot + 1);
+            stripeEvents_.resize(slot + 1);
+            stripeDeferred_.resize(slot + 1);
+            stripeTally_.resize(slot + 1);
+            sortScratch_.resize(slot + 1);
+          }
+          stripeParticles_[slot].clear();
         }
+        stripeParticles_[slot].push_back(static_cast<std::uint32_t>(i));
       }
+      for (std::size_t slot = 0; slot < stripeIndexOfSlot_.size(); ++slot) {
+        activeStripes_.push_back(slot);
+      }
+      // Canonical merge order: ascending stripe index, matching the
+      // flat path (any fixed order would do — stripes are disjoint in
+      // particles, so the merged schedule is order-independent).
+      std::sort(activeStripes_.begin(), activeStripes_.end(),
+                [&](std::size_t a, std::size_t b) {
+                  return stripeIndexOfSlot_[a] < stripeIndexOfSlot_[b];
+                });
+    } else {
+      // Flat windows keep the dense stripe arrays: stripe count is
+      // bounded by width / 64, and slot == stripe index.
+      const auto stripeCount = static_cast<std::size_t>(
+          (grid.width() + kStripeColumns - 1) / kStripeColumns);
+      if (stripeParticles_.size() < stripeCount) {
+        stripeParticles_.resize(stripeCount);
+        stripeEvents_.resize(stripeCount);
+        stripeDeferred_.resize(stripeCount);
+        stripeTally_.resize(stripeCount);
+        sortScratch_.resize(stripeCount);
+      }
+      for (auto& list : stripeParticles_) list.clear();
+
+      for (std::size_t i = 0; i < system_.size(); ++i) {
+        if (draws_.count(i) == 0) continue;
+        const auto col = static_cast<std::uint64_t>(
+            static_cast<std::int64_t>(system_.position(i).x) - originX);
+        stripeParticles_[col >> 6].push_back(static_cast<std::uint32_t>(i));
+      }
+
+      for (std::size_t s = 0; s < stripeCount; ++s) {
+        if (!stripeParticles_[s].empty()) activeStripes_.push_back(s);
+      }
+    }
+    core::parallelForIndex(
+        activeStripes_.size(), options_.threads, [&](std::size_t k) {
+          const std::size_t slot = activeStripes_[k];
+          const std::uint64_t stripeIndex =
+              tiledGrid ? stripeIndexOfSlot_[slot] : slot;
+          runStripe(slot, stripeIndex, originX, epochEnd);
+        });
+    // Merge in stripe order (fixed regardless of which thread ran
+    // what): totals are sums, so any fixed order gives the same state.
+    // The sweep schedule is assembled by concatenating every stripe's
+    // deferred list and re-sorting once with the epoch bucket sort —
+    // NOT by a per-stripe std::merge cascade, which re-copies the
+    // growing queue once per stripe and goes quadratic on wide tiled
+    // windows (a 3e5-particle line spans ~4700 active stripes; the
+    // cascade was >70 % of its epoch time).  (time, particle) keys are
+    // unique, so the sorted schedule is byte-identical to the cascade's.
+    for (const std::size_t s : activeStripes_) {
+      executed += stripeTally_[s].stats.steps;
+      edges_ += stripeTally_[s].edgeDelta;
+      stats_.merge(stripeTally_[s].stats);
+      const std::vector<Event>& deferred = stripeDeferred_[s];
+      sweepQueue_.insert(sweepQueue_.end(), deferred.begin(), deferred.end());
+    }
+    if (!sweepQueue_.empty()) {
       sortEvents(sweepQueue_, sweepScratch_, now_, epochEnd);
     }
 
     // Decide the next epoch's length BEFORE the sweep — the overlap
     // helper needs the next window's end now.  The deferred fraction is a
     // pure function of the seeded trajectory (stripe geometry + event
-    // positions), so every thread count computes the same schedule; the
-    // sequential regime leaves the target alone (everything is "deferred"
-    // there, which says nothing about stripe balance).
-    if (adaptive_ && striped) {
+    // positions), so every thread count computes the same schedule.
+    if (adaptive_) {
       epochTarget_ = controller_.update(sweepQueue_.size(), total);
     }
     const double nextLength =
@@ -706,19 +677,11 @@ class ShardedChainRunner {
 
     // Sequential sweep: all deferred events by *original timestamps* in
     // (time, particle) order — a sequential tail of the epoch's schedule;
-    // window regrows and plane resyncs are safe here.  The overlap helper
-    // only touches the clock bank and its own buffer, never the system or
-    // the coin bank, so it runs concurrently with this loop.
+    // window regrows and plane resyncs are safe here (chainEventStep
+    // resyncs the id plane after any move that regrew the window).  The
+    // overlap helper only touches the clock bank and its own buffer, never
+    // the system or the coin bank, so it runs concurrently with this loop.
     for (const Event& event : sweepQueue_) {
-      if constexpr (kMaintainsIds) {
-        // A sweep regrow can cross ParticleIdPlane::kMaxCells (switching
-        // the mirror between flat and paged) or promote the grid to
-        // tiled; sync() rebuilds the mirror accordingly.  It fails only
-        // for a disabled grid (the forced-sparse regime), where pair
-        // moves resolve partners through the hash index, which must be
-        // live.  When synced this is a fingerprint compare, nothing more.
-        if (!partnerIds_.sync(system_)) system_.restoreIndex();
-      }
       runEvent(event.particle, stats_, edges_);
     }
     executed += sweepQueue_.size();

@@ -144,7 +144,17 @@ void BitGrid::enterTiled() {
 void BitGrid::rebuildExact(std::span<const TriPoint> points,
                            std::int64_t originX, std::int64_t originY,
                            std::uint64_t width, std::uint64_t height) {
+  // Snapshot geometry is outside input: bound every field before the
+  // arithmetic below, where a wrapped stride or origin offset would fake
+  // an interior window over an undersized buffer.
+  constexpr std::uint64_t kMaxSide = std::uint64_t{kMaxWords} * 64;
+  constexpr std::int64_t kMaxOrigin = std::int64_t{1} << 40;
   SOPS_REQUIRE(width > 0 && height > 0, "rebuildExact: empty window");
+  SOPS_REQUIRE(width <= kMaxSide && height <= kMaxSide,
+               "rebuildExact: window exceeds the dense cap");
+  SOPS_REQUIRE(originX >= -kMaxOrigin && originX <= kMaxOrigin &&
+                   originY >= -kMaxOrigin && originY <= kMaxOrigin,
+               "rebuildExact: window origin out of range");
   const std::uint64_t strideWords = (width + 63) / 64;
   SOPS_REQUIRE(strideWords <= kMaxWords / height,
                "rebuildExact: window exceeds the dense cap");

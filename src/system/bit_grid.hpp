@@ -379,9 +379,9 @@ class BitGrid {
   /// edge-deferral rules are functions of the window origin/size, so
   /// resuming a run must reproduce the snapshotted window verbatim —
   /// rebuild()'s proportional margin would re-derive a different
-  /// (history-dependent) one.  Throws when the window exceeds kMaxWords or
-  /// a point violates the interior-margin invariant the geometry is
-  /// supposed to carry.
+  /// (history-dependent) one.  Throws when the window exceeds kMaxWords,
+  /// its origin lies beyond ±2^40, or a point violates the interior-margin
+  /// invariant the geometry is supposed to carry.
   void rebuildExact(std::span<const TriPoint> points, std::int64_t originX,
                     std::int64_t originY, std::uint64_t width,
                     std::uint64_t height);
@@ -475,7 +475,7 @@ class BitGrid {
   /// straight line at y = 0 sits on a tile-row boundary for its whole
   /// length (tiles are absolutely anchored), so without this the dominant
   /// shape of the tiled regime would pay ~10 directory probes per mask —
-  /// sparse-path speed.
+  /// hash-probe speed.
   struct SeamBlock {
     std::int64_t tx0 = 0;  // top-left tile of the 2×2 block
     std::int64_t ty0 = 0;

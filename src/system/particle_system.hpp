@@ -12,8 +12,10 @@
 ///     word load — the hot path of every chain step (~9 queries per
 ///     proposed move),
 ///   - a flat hash index mapping cell → particle id, which serves
-///     particleAt() and is the occupancy fallback when the configuration
-///     is too spread out for a dense window (BitGrid::kMaxWords).
+///     particleAt() and occupiedSparse() (the reference kernels' oracle).
+///
+/// Occupancy has one representation: the BitGrid, as a flat window for
+/// small bounding boxes and as the tiled backend beyond BitGrid::kMaxWords.
 ///
 /// Expanded particles exist only in the amoebot layer (S7); the chain's
 /// states consider contracted particles only, exactly as in the paper
@@ -56,15 +58,15 @@ class ParticleSystem {
   }
 
   [[nodiscard]] bool occupied(TriPoint p) const noexcept {
-    // Dense fast path: one word load.  The grid invariantly covers every
-    // particle, so an out-of-window cell is unoccupied by construction.
-    if (grid_.enabled()) return grid_.test(p);
-    return index_.contains(lattice::pack(p));
+    // One word load.  The grid invariantly covers every particle, so an
+    // out-of-window cell is unoccupied by construction; an empty system's
+    // disabled grid reads as empty everywhere.
+    return grid_.test(p);
   }
 
   /// Occupancy via the hash index only, bypassing the bitboard.  Exposed
   /// for the reference kernels in tests/benches that measure or validate
-  /// the dense fast path against the sparse implementation.
+  /// the dense grid against an independent implementation.
   [[nodiscard]] bool occupiedSparse(TriPoint p) const noexcept {
     return index_.contains(lattice::pack(p));
   }
@@ -76,20 +78,17 @@ class ParticleSystem {
   /// bounds check: one word load on the hot path.  For arbitrary cells use
   /// occupied().
   [[nodiscard]] bool occupiedNear(TriPoint p) const noexcept {
-    if (grid_.enabled()) return grid_.testUnchecked(p);
-    return index_.contains(lattice::pack(p));
+    return grid_.testUnchecked(p);
   }
 
   /// The dense occupancy grid: a flat window for small bounding boxes,
-  /// the tiled backend for large ones (disabled only when forced sparse).
+  /// the tiled backend for large ones (disabled only while empty).
   [[nodiscard]] const BitGrid& grid() const noexcept { return grid_; }
 
-  /// Which occupancy regime the system is running: "dense-flat" (one flat
-  /// window), "dense-tiled" (tile directory), or "sparse" (hash index
-  /// only — reachable only via forceSparseForTest() or a snapshot of such
-  /// a run).  Surfaced through the sim facade so regime changes are loud.
+  /// Which occupancy backend the system is running: "dense-flat" (one
+  /// flat window) or "dense-tiled" (tile directory).  Surfaced through
+  /// the sim facade so backend changes are loud.
   [[nodiscard]] const char* regimeName() const noexcept {
-    if (!grid_.enabled()) return "sparse";
     return grid_.tiled() ? "dense-tiled" : "dense-flat";
   }
 
@@ -119,16 +118,11 @@ class ParticleSystem {
   /// writes touch disjoint grid words (the sharded chain runner's stripe
   /// discipline): the open-addressing index is the one structure every
   /// move would otherwise share.  While suspended, occupancy is answered
-  /// by the dense window alone and particleAt() must not be called.
-  /// Requires an enabled dense window.  If a move during suspension
-  /// forces the sparse fallback (window cap), the index is restored on
-  /// the spot — from then on occupancy needs it — mirroring the amoebot
-  /// system's id-index suspension.
-  void suspendIndex();
+  /// by the dense grid alone and particleAt() must not be called.
+  void suspendIndex() noexcept { indexSuspended_ = true; }
 
   /// Rebuilds the hash index from the position vector and resumes normal
-  /// maintenance.  Idempotent, including after a mid-suspension sparse
-  /// fallback already restored it.
+  /// maintenance.  Idempotent.
   void restoreIndex();
 
   [[nodiscard]] bool indexSuspended() const noexcept {
@@ -150,17 +144,7 @@ class ParticleSystem {
   /// Precondition: ℓ is an occupied particle position, so the grid's
   /// interior-margin invariant makes the dense gather branch-free.
   [[nodiscard]] std::uint8_t ringMask(TriPoint l, Direction d) const noexcept {
-    if (grid_.enabled()) {
-      return grid_.ringMaskUnchecked(l, lattice::index(d));
-    }
-    std::uint8_t mask = 0;
-    const auto& offsets = lattice::kEdgeRingOffsets[lattice::index(d)];
-    for (int idx = 0; idx < lattice::kEdgeRingSize; ++idx) {
-      if (index_.contains(lattice::pack(l + offsets[idx]))) {
-        mask = static_cast<std::uint8_t>(mask | (1u << idx));
-      }
-    }
-    return mask;
+    return grid_.ringMaskUnchecked(l, lattice::index(d));
   }
 
   /// 6-bit occupancy mask of p's neighborhood; bit i is direction index i.
@@ -180,23 +164,16 @@ class ParticleSystem {
 
   /// Snapshot-restore hook: forces the dense window to the exact geometry
   /// a snapshot recorded (the sharded runners' trajectories depend on it;
-  /// regrowGrid()'s proportional margin would re-derive a different one),
-  /// or pins the permanent sparse fallback when the snapshotted run had
-  /// already given up on the dense window.  Must not be called while the
-  /// index is suspended.
-  void restoreWindowGeometry(bool dense, std::int64_t originX,
-                             std::int64_t originY, std::uint64_t width,
-                             std::uint64_t height);
+  /// regrowGrid()'s proportional margin would re-derive a different one).
+  /// An empty system keeps its disabled grid.  Must not be called while
+  /// the index is suspended.
+  void restoreWindowGeometry(std::int64_t originX, std::int64_t originY,
+                             std::uint64_t width, std::uint64_t height);
 
   /// Snapshot-restore hook for the tiled backend: rebuilds the tile
   /// directory EXACTLY as a v3 snapshot recorded it (the sharded runners'
   /// deferral predicates are functions of the allocated-tile set).
   void restoreTiledGeometry(std::span<const std::uint64_t> tileKeys);
-
-  /// Pins the sparse (hash-only) regime — the organic fallback no longer
-  /// exists now that rebuild() promotes to tiled, but tests still need to
-  /// exercise the sparse code paths.
-  void forceSparseForTest();
 
   /// Forces the tiled backend on a system whose bounding box would
   /// otherwise fit a flat window, so tests can compare the two backends
@@ -207,13 +184,12 @@ class ParticleSystem {
   /// Rebuilds the dense grid from positions_: a flat window (with
   /// proportional margin so rebuilds stay rare as the configuration
   /// drifts) when the bounding box fits BitGrid::kMaxWords, the tiled
-  /// backend beyond that.
+  /// backend beyond that; disabled while the system is empty.
   void regrowGrid();
 
   std::vector<TriPoint> positions_;
   util::FlatMap64<std::int32_t> index_;
   BitGrid grid_;
-  bool gridGaveUp_ = false;
   bool indexSuspended_ = false;
 };
 

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 #include "util/assert.hpp"
 
@@ -124,6 +125,24 @@ std::vector<std::uint8_t> SnapshotReader::bytes() {
   return v;
 }
 
+std::size_t SnapshotReader::count(std::size_t recordBytes, const char* what) {
+  const std::uint64_t n = u64();
+  SOPS_REQUIRE(n <= remaining() / recordBytes,
+               std::string("snapshot: ") + what + " count " +
+                   std::to_string(n) + " exceeds the " +
+                   std::to_string(remaining()) + " payload bytes left");
+  return static_cast<std::size_t>(n);
+}
+
+std::int32_t SnapshotReader::coord(const char* what) {
+  const std::int64_t v = i64();
+  SOPS_REQUIRE(v >= std::numeric_limits<std::int32_t>::min() &&
+                   v <= std::numeric_limits<std::int32_t>::max(),
+               std::string("snapshot: ") + what + " " + std::to_string(v) +
+                   " is outside the int32 lattice");
+  return static_cast<std::int32_t>(v);
+}
+
 void SnapshotReader::finish() const {
   SOPS_REQUIRE(pos_ == payload_.size(),
                "snapshot payload has trailing bytes — wrong format or "
@@ -222,15 +241,7 @@ SnapshotData loadResumableSnapshot(const std::string& path) {
   return {};  // unreachable
 }
 
-void writeParticleSystem(SnapshotWriter& w, const ParticleSystem& sys) {
-  SOPS_REQUIRE(!sys.indexSuspended(),
-               "snapshot: cannot serialize a system with a suspended index");
-  w.u64(sys.size());
-  for (const TriPoint p : sys.positions()) {
-    w.i64(p.x);
-    w.i64(p.y);
-  }
-  const BitGrid& grid = sys.grid();
+void writeGridGeometry(SnapshotWriter& w, const BitGrid& grid) {
   if (grid.tiled()) {
     // Tag 2: the exact allocated-tile set, sorted by raw key so the byte
     // stream is a pure function of state (the directory's iteration order
@@ -242,49 +253,70 @@ void writeParticleSystem(SnapshotWriter& w, const ParticleSystem& sys) {
       w.i64(BitGrid::tileXOfKey(key));
       w.i64(BitGrid::tileYOfKey(key));
     }
-  } else {
-    // Tags 0/1 keep frame v2's exact byte layout.
-    w.u8(grid.enabled() ? 1 : 0);
-    w.i64(grid.originX());
-    w.i64(grid.originY());
-    w.u64(grid.width());
-    w.u64(grid.height());
+    return;
   }
+  // Tag 1 keeps frame v2's exact byte layout.  An empty system's disabled
+  // grid writes zero geometry, which restore ignores.
+  w.u8(1);
+  w.i64(grid.originX());
+  w.i64(grid.originY());
+  w.u64(grid.width());
+  w.u64(grid.height());
+}
+
+GridGeometry readGridGeometry(SnapshotReader& r) {
+  const std::uint8_t tag = r.u8();
+  SOPS_REQUIRE(tag != 0,
+               "snapshot: occupancy tag 0 (the retired hash-only sparse "
+               "regime) is no longer readable; re-run from the spec");
+  SOPS_REQUIRE(tag <= 2, "snapshot: bad occupancy backend tag");
+  GridGeometry geometry;
+  if (tag == 2) {
+    geometry.tiled = true;
+    const std::size_t tileCount = r.count(16, "tile");
+    geometry.tileKeys.reserve(tileCount);
+    for (std::size_t i = 0; i < tileCount; ++i) {
+      const std::int32_t tx = r.coord("tile x");
+      const std::int32_t ty = r.coord("tile y");
+      geometry.tileKeys.push_back(BitGrid::tileKey(tx, ty));
+    }
+    return geometry;
+  }
+  geometry.originX = r.i64();
+  geometry.originY = r.i64();
+  geometry.width = r.u64();
+  geometry.height = r.u64();
+  return geometry;
+}
+
+void writeParticleSystem(SnapshotWriter& w, const ParticleSystem& sys) {
+  SOPS_REQUIRE(!sys.indexSuspended(),
+               "snapshot: cannot serialize a system with a suspended index");
+  w.u64(sys.size());
+  for (const TriPoint p : sys.positions()) {
+    w.i64(p.x);
+    w.i64(p.y);
+  }
+  writeGridGeometry(w, sys.grid());
 }
 
 ParticleSystem readParticleSystem(SnapshotReader& r) {
-  const std::uint64_t count = r.u64();
+  const std::size_t count = r.count(16, "particle");
   std::vector<TriPoint> points;
-  points.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::int64_t x = r.i64();
-    const std::int64_t y = r.i64();
-    points.push_back({static_cast<std::int32_t>(x),
-                      static_cast<std::int32_t>(y)});
+  points.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::int32_t x = r.coord("particle x");
+    const std::int32_t y = r.coord("particle y");
+    points.push_back({x, y});
   }
-  const std::uint8_t backend = r.u8();
-  SOPS_REQUIRE(backend <= 2, "snapshot: bad occupancy backend tag");
-  if (backend == 2) {
-    const std::uint64_t tileCount = r.u64();
-    std::vector<std::uint64_t> keys;
-    keys.reserve(static_cast<std::size_t>(tileCount));
-    for (std::uint64_t i = 0; i < tileCount; ++i) {
-      const std::int64_t tx = r.i64();
-      const std::int64_t ty = r.i64();
-      keys.push_back(BitGrid::tileKey(static_cast<std::int32_t>(tx),
-                                      static_cast<std::int32_t>(ty)));
-    }
-    ParticleSystem sys(points);
-    sys.restoreTiledGeometry(keys);
-    return sys;
-  }
-  const bool dense = backend != 0;
-  const std::int64_t originX = r.i64();
-  const std::int64_t originY = r.i64();
-  const std::uint64_t width = r.u64();
-  const std::uint64_t height = r.u64();
+  const GridGeometry geometry = readGridGeometry(r);
   ParticleSystem sys(points);
-  sys.restoreWindowGeometry(dense, originX, originY, width, height);
+  if (geometry.tiled) {
+    sys.restoreTiledGeometry(geometry.tileKeys);
+  } else {
+    sys.restoreWindowGeometry(geometry.originX, geometry.originY,
+                              geometry.width, geometry.height);
+  }
   return sys;
 }
 

@@ -46,11 +46,11 @@ namespace sops::system {
     std::span<const std::uint8_t> bytes) noexcept;
 
 /// Current frame format version.  v3: occupancy serializes a backend tag
-/// (sparse / flat window / tiled directory, with the tiled grid's exact
+/// (flat window / tiled directory, with the tiled grid's exact
 /// allocated-tile set), and the sharded chain runner appends its
 /// partner-id plane's mode and paged directory — the tiled deferral
 /// predicates are functions of those directories, so a re-derived one
-/// would change the trajectory.  v2 payloads (flat or sparse only; the
+/// would change the trajectory.  v2 payloads (flat occupancy only; the
 /// sharded runners' per-particle streams as bare 256-bit engine states
 /// plus the adaptive epoch target) are still accepted: their occupancy
 /// byte layout is a strict subset of v3's, and readers re-derive the id
@@ -108,6 +108,13 @@ class SnapshotReader {
   [[nodiscard]] std::string str();
   [[nodiscard]] std::vector<std::uint8_t> bytes();
 
+  /// A u64 record count, rejected (naming `what`) unless that many
+  /// `recordBytes`-byte records still fit in the payload — so a corrupt
+  /// count fails here instead of sizing an allocation.
+  [[nodiscard]] std::size_t count(std::size_t recordBytes, const char* what);
+  /// An i64 lattice coordinate, rejected (naming `what`) outside int32.
+  [[nodiscard]] std::int32_t coord(const char* what);
+
   [[nodiscard]] std::size_t remaining() const noexcept {
     return payload_.size() - pos_;
   }
@@ -151,12 +158,26 @@ void writeSnapshotFile(const std::string& path,
 /// errors in the message.
 [[nodiscard]] SnapshotData loadResumableSnapshot(const std::string& path);
 
-/// Serializes a ParticleSystem: positions plus a backend tag (0 sparse,
-/// 1 flat window, 2 tiled) and the backend's exact geometry — the window
-/// rectangle for flat, the sorted allocated-tile coordinate list for
-/// tiled (the sharded runners' trajectories depend on both — see
-/// ParticleSystem::restoreWindowGeometry / restoreTiledGeometry).  The
-/// sparse and flat encodings are byte-identical to frame v2's.
+/// The exact occupancy-grid geometry a snapshot records for a
+/// ParticleSystem or AmoebotSystem: a backend tag (1 flat window, 2
+/// tiled) and the window rectangle or the sorted allocated-tile
+/// coordinate list.  The sharded runners' trajectories depend on both
+/// (see ParticleSystem::restoreWindowGeometry / restoreTiledGeometry).
+/// The flat encoding is byte-identical to frame v2's.  Tag 0, the
+/// retired hash-only occupancy regime, fails readGridGeometry with a
+/// ContractViolation.
+struct GridGeometry {
+  bool tiled = false;
+  std::int64_t originX = 0;  ///< flat only
+  std::int64_t originY = 0;
+  std::uint64_t width = 0;
+  std::uint64_t height = 0;
+  std::vector<std::uint64_t> tileKeys;  ///< tiled only
+};
+void writeGridGeometry(SnapshotWriter& w, const BitGrid& grid);
+[[nodiscard]] GridGeometry readGridGeometry(SnapshotReader& r);
+
+/// Serializes a ParticleSystem: positions plus its GridGeometry.
 void writeParticleSystem(SnapshotWriter& w, const ParticleSystem& sys);
 [[nodiscard]] ParticleSystem readParticleSystem(SnapshotReader& r);
 

@@ -1,13 +1,16 @@
-// Tests for the dense bitboard occupancy window (system/bit_grid) and its
-// integration into ParticleSystem: the bitboard and the sparse hash index
-// must answer occupancy identically along whole chain trajectories, across
-// window regrowth, and in the degraded (too-sparse-for-dense) fallback.
+// Tests for the dense bitboard occupancy grid (system/bit_grid) and its
+// integration into ParticleSystem: on both backends (flat window and
+// tiled directory) every occupancy query must agree with the hash index
+// and with a naive recount from positions(), along whole chain
+// trajectories, across window regrowth, and through add()/remove().
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <unordered_set>
 #include <vector>
 
 #include "core/compression_chain.hpp"
+#include "lattice/edge_ring.hpp"
 #include "rng/random.hpp"
 #include "system/bit_grid.hpp"
 #include "system/metrics.hpp"
@@ -18,6 +21,42 @@ namespace sops::system {
 namespace {
 
 using lattice::TriPoint;
+
+enum class Backend { Flat, Tiled };
+
+const char* backendName(Backend backend) {
+  return backend == Backend::Flat ? "flat" : "tiled";
+}
+
+/// Checks every grid-backed query around every particle — occupied,
+/// occupiedNear on the neighbor and ring cells, ringMask for all six
+/// directions, neighborMask — against a naive recount from positions().
+void expectQueriesMatchNaiveRecount(const ParticleSystem& sys) {
+  std::unordered_set<std::uint64_t> occupied;
+  for (const TriPoint p : sys.positions()) occupied.insert(lattice::pack(p));
+  const auto naive = [&occupied](TriPoint p) {
+    return occupied.contains(lattice::pack(p));
+  };
+  for (const TriPoint p : sys.positions()) {
+    ASSERT_TRUE(sys.occupied(p));
+    std::uint8_t neighbors = 0;
+    for (const auto d : lattice::kAllDirections) {
+      const int di = lattice::index(d);
+      const TriPoint q = lattice::neighbor(p, d);
+      ASSERT_EQ(sys.occupied(q), naive(q));
+      ASSERT_EQ(sys.occupiedNear(q), naive(q));
+      if (naive(q)) neighbors = static_cast<std::uint8_t>(neighbors | 1u << di);
+      std::uint8_t ring = 0;
+      for (int idx = 0; idx < lattice::kEdgeRingSize; ++idx) {
+        const TriPoint c = p + lattice::kEdgeRingOffsets[di][idx];
+        ASSERT_EQ(sys.occupiedNear(c), naive(c));
+        if (naive(c)) ring = static_cast<std::uint8_t>(ring | 1u << idx);
+      }
+      ASSERT_EQ(sys.ringMask(p, d), ring) << "direction " << di;
+    }
+    ASSERT_EQ(sys.neighborMask(p), neighbors);
+  }
+}
 
 TEST(BitGrid, SetTestClearRoundTrip) {
   BitGrid grid;
@@ -87,15 +126,35 @@ TEST(ParticleSystemGrid, MovesKeepViewsInSync) {
 }
 
 TEST(ParticleSystemGrid, AddRemoveKeepViewsInSync) {
-  ParticleSystem sys;
-  const std::size_t a = sys.add({0, 0});
-  EXPECT_TRUE(sys.occupied({0, 0}));
-  sys.add({1, 0});
-  sys.remove(a);  // swap-with-last: particle 0 becomes the one at (1,0)
-  EXPECT_FALSE(sys.occupied({0, 0}));
-  EXPECT_TRUE(sys.occupied({1, 0}));
-  EXPECT_EQ(sys.size(), 1u);
-  EXPECT_EQ(sys.particleAt({1, 0}), std::optional<std::size_t>{0});
+  for (const Backend backend : {Backend::Flat, Backend::Tiled}) {
+    SCOPED_TRACE(backendName(backend));
+    ParticleSystem sys;
+    EXPECT_FALSE(sys.occupied({0, 0}));  // an empty system reads empty
+    const std::size_t a = sys.add({0, 0});
+    if (backend == Backend::Tiled) sys.forceTiledForTest();
+    EXPECT_TRUE(sys.occupied({0, 0}));
+    ASSERT_NO_FATAL_FAILURE(expectQueriesMatchNaiveRecount(sys));
+    // Grow a short line, then add a particle far enough away to regrow a
+    // flat window (or allocate fresh tiles), checking after every add.
+    for (std::int32_t x = 1; x < 8; ++x) {
+      sys.add({x, 0});
+      ASSERT_NO_FATAL_FAILURE(expectQueriesMatchNaiveRecount(sys));
+    }
+    sys.add({3000, 700});
+    ASSERT_NO_FATAL_FAILURE(expectQueriesMatchNaiveRecount(sys));
+    EXPECT_STREQ(sys.regimeName(),
+                 backend == Backend::Flat ? "dense-flat" : "dense-tiled");
+    sys.remove(a);  // swap-with-last: particle 0 becomes the far one
+    EXPECT_FALSE(sys.occupied({0, 0}));
+    EXPECT_TRUE(sys.occupied({3000, 700}));
+    EXPECT_EQ(sys.size(), 8u);
+    EXPECT_EQ(sys.particleAt({3000, 700}), std::optional<std::size_t>{0});
+    ASSERT_NO_FATAL_FAILURE(expectQueriesMatchNaiveRecount(sys));
+    while (sys.size() > 1) {
+      sys.remove(sys.size() - 1);
+      ASSERT_NO_FATAL_FAILURE(expectQueriesMatchNaiveRecount(sys));
+    }
+  }
 }
 
 TEST(ParticleSystemGrid, RegrowthOnEscapeKeepsAnswersExact) {
@@ -126,25 +185,26 @@ TEST(ParticleSystemGrid, HugeBoundingBoxPromotesToTiled) {
 }
 
 TEST(ParticleSystemGrid, NeighborQueriesMatchSparseAlongTrajectory) {
-  // Drive a real chain and cross-check the two occupancy views (and the
-  // derived neighborMask/neighborCount) at every particle periodically.
-  core::ChainOptions options;
-  options.lambda = 4.0;
-  core::CompressionChain chain(lineConfiguration(30), options, 1603);
-  for (int burst = 0; burst < 20; ++burst) {
-    chain.run(2500);
-    const ParticleSystem& sys = chain.system();
-    for (const TriPoint p : sys.positions()) {
-      ASSERT_EQ(sys.occupied(p), sys.occupiedSparse(p));
-      std::uint8_t sparseMask = 0;
-      for (const auto d : lattice::kAllDirections) {
-        if (sys.occupiedSparse(lattice::neighbor(p, d))) {
-          sparseMask = static_cast<std::uint8_t>(
-              sparseMask | (1u << lattice::index(d)));
-        }
+  // Drive a real chain on each backend and cross-check every grid query
+  // against the hash index and a naive recount after every step.
+  for (const Backend backend : {Backend::Flat, Backend::Tiled}) {
+    SCOPED_TRACE(backendName(backend));
+    ParticleSystem start = lineConfiguration(30);
+    if (backend == Backend::Tiled) start.forceTiledForTest();
+    core::ChainOptions options;
+    options.lambda = 4.0;
+    core::CompressionChain chain(start, options, 1603);
+    ASSERT_EQ(chain.system().grid().tiled(), backend == Backend::Tiled);
+    for (int step = 0; step < 8000; ++step) {
+      chain.step();
+      const ParticleSystem& sys = chain.system();
+      for (const TriPoint p : sys.positions()) {
+        ASSERT_TRUE(sys.occupiedSparse(p)) << "step " << step;
       }
-      ASSERT_EQ(sys.neighborMask(p), sparseMask);
+      ASSERT_NO_FATAL_FAILURE(expectQueriesMatchNaiveRecount(sys))
+          << "step " << step;
     }
+    EXPECT_EQ(chain.system().grid().tiled(), backend == Backend::Tiled);
   }
 }
 
