@@ -308,10 +308,14 @@ class BiasedChainEngine {
   /// Inverse of saveState on an engine constructed from the same spec
   /// (same model options/seed/greedy flag — the caller checks that; this
   /// cross-checks the restored e(σ) against a fresh recount so corrupt
-  /// aux state cannot slip through).  The restored engine continues the
-  /// snapshotted trajectory draw-for-draw.
+  /// aux state cannot slip through; a snapshot of a different particle
+  /// count is rejected).  The restored engine continues the snapshotted
+  /// trajectory draw-for-draw.
   void restoreState(system::SnapshotReader& r) {
-    system_ = system::readParticleSystem(r);
+    system::ParticleSystem restored = system::readParticleSystem(r);
+    SOPS_REQUIRE(restored.size() == system_.size(),
+                 "snapshot: particle count does not match the engine's");
+    system_ = std::move(restored);
     model_.deserialize(r);
     rng_ = system::readRandom(r);
     stats_ = readEngineStats(r);

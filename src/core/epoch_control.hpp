@@ -2,17 +2,18 @@
 #define SOPS_CORE_EPOCH_CONTROL_HPP
 
 /// \file epoch_control.hpp
-/// Epoch sizing shared by the sharded runners (chain and amoebot).
+/// Epoch sizing for core::StripeEpochExecutor, the epoch loop behind both
+/// sharded runners (chain and amoebot).
 ///
-/// An epoch is the unit of parallel work: the runner draws every clock
+/// An epoch is the unit of parallel work: the executor draws every clock
 /// firing in [now, now + Δ), executes stripe-interior events in parallel,
 /// and sweeps the deferred halo/edge events sequentially.  Δ trades two
 /// overheads off against each other: short epochs pay the per-epoch scan
 /// and barrier repeatedly (ruinous at small n), long epochs grow the
-/// deferred sweep and its memory footprint (ruinous at large n).  Both
-/// runners derive Δ from a target number of events per epoch; this header
-/// owns the derived default, the hard cap, and the adaptive controller, so
-/// the two runners cannot drift.
+/// deferred sweep and its memory footprint (ruinous at large n).  The
+/// executor derives Δ from a target number of events per epoch; this
+/// header owns the derived default, the hard cap, and the adaptive
+/// controller.
 
 #include <algorithm>
 #include <cstdint>

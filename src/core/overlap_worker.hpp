@@ -4,7 +4,8 @@
 /// \file overlap_worker.hpp
 /// One persistent helper thread that runs one submitted job at a time.
 ///
-/// The sharded runners use it to overlap the serial (time, particle)-sorted
+/// The stripe epoch executor (core/stripe_epoch_executor.hpp), behind both
+/// sharded runners, uses it to overlap the serial (time, particle)-sorted
 /// halo sweep with the next epoch's batched clock draws: the sweep is the
 /// Amdahl serial fraction, and the draws depend only on the clock streams
 /// (never on particle positions), so they can proceed concurrently without

@@ -358,13 +358,18 @@ TEST(DurableRunGolden, SnapshotRequiresSingleReplica) {
 
 // -- 3. cancellation --------------------------------------------------------
 
-TEST(DurableRunCancel, TokenCancelLeavesResumableSnapshotMatchingGolden) {
-  sim::RunSpec base = baseSpec("compression", 1);
+/// Trips the token from the checkpoint-2 sample of `scenario` at
+/// `threads`: the run must finish the sample, write the snapshot, and stop
+/// — reporting cancelled — and a resume must land on the uninterrupted
+/// trajectory.  At threads > 1 the sharded runners also pre-draw the next
+/// epoch on their overlap helper, which a cancel must unwind.
+void expectTokenCancelResumesGolden(const std::string& scenario,
+                                    unsigned threads) {
+  const sim::RunSpec base = baseSpec(scenario, threads);
   const FinalState uninterrupted = runToEnd(base);
 
-  // Trip the token from the checkpoint-2 sample: the runner must finish
-  // the sample, write the snapshot, and stop — reporting cancelled.
-  const std::string snap = tempPath("cancel.snap");
+  const std::string snap =
+      tempPath("cancel_" + scenario + std::to_string(threads) + ".snap");
   sim::RunSpec interrupted = base;
   interrupted.snapshotPath = snap;
   core::CancelToken token;
@@ -383,6 +388,18 @@ TEST(DurableRunCancel, TokenCancelLeavesResumableSnapshotMatchingGolden) {
   EXPECT_EQ(r.steps, uninterrupted.steps);
   EXPECT_EQ(r.arrangement, uninterrupted.arrangement);
   EXPECT_EQ(r.metrics, uninterrupted.metrics);
+}
+
+TEST(DurableRunCancel, TokenCancelLeavesResumableSnapshotMatchingGolden) {
+  expectTokenCancelResumesGolden("compression", 1);
+}
+
+TEST(DurableRunCancel, ShardedTokenCancelLeavesResumableSnapshot) {
+  expectTokenCancelResumesGolden("compression", 2);
+}
+
+TEST(DurableRunCancel, AmoebotTokenCancelLeavesResumableSnapshot) {
+  expectTokenCancelResumesGolden("amoebot", 2);
 }
 
 TEST(DurableRunCancel, DeadlineCancelsAndResumeCompletesIdentically) {

@@ -14,7 +14,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "amoebot/faults.hpp"
@@ -22,8 +24,10 @@
 #include "amoebot/parallel_scheduler.hpp"
 #include "amoebot/reference_local_kernel.hpp"
 #include "amoebot/scheduler.hpp"
+#include "core/cancel.hpp"
 #include "system/metrics.hpp"
 #include "system/shapes.hpp"
+#include "system/snapshot.hpp"
 
 namespace sops::amoebot {
 namespace {
@@ -166,6 +170,8 @@ struct ShardedOutcome {
   std::uint64_t activations = 0;
   std::uint64_t sweepActivations = 0;
   double now = 0.0;
+  /// Checksum of the sys.saveState + runner.saveState payload.
+  std::uint64_t snapshotChecksum = 0;
 };
 
 ShardedOutcome runSharded(unsigned threads, std::uint64_t seed,
@@ -185,6 +191,10 @@ ShardedOutcome runSharded(unsigned threads, std::uint64_t seed,
   out.activations = runner.activations();
   out.sweepActivations = runner.sweepActivations();
   out.now = runner.now();
+  system::SnapshotWriter w;
+  sys.saveState(w);
+  runner.saveState(w);
+  out.snapshotChecksum = system::snapshotChecksum(w.payload());
   return out;
 }
 
@@ -199,6 +209,10 @@ TEST(ShardedRunner, TrajectoryIndependentOfThreadCount) {
   EXPECT_EQ(one.now, three.now);
   EXPECT_EQ(one.tails, eight.tails);
   EXPECT_EQ(one.activations, eight.activations);
+  // Cross-commit golden: trajectory and both snapshot byte layouts.
+  EXPECT_EQ(one.snapshotChecksum, 0x4c567d011febf984ull);
+  EXPECT_EQ(three.snapshotChecksum, one.snapshotChecksum);
+  EXPECT_EQ(eight.snapshotChecksum, one.snapshotChecksum);
   // The line spans several 64-column stripes, so both execution paths must
   // actually have run.
   EXPECT_GT(one.sweepActivations, 0u);
@@ -212,6 +226,49 @@ TEST(ShardedRunner, RepeatableForSeedAndSensitiveToIt) {
   EXPECT_EQ(a.tails, b.tails);
   EXPECT_EQ(a.activations, b.activations);
   EXPECT_NE(a.tails, c.tails);
+}
+
+TEST(ShardedRunner, MidRunCancelStopsAtABoundaryThatResumesExactly) {
+  // The amoebot runner shares the chain runner's overlap pre-draw: a token
+  // tripped from another thread mid-epoch must leave nothing pending and a
+  // snapshot (system + runner) that continues the uninterrupted run.
+  const std::uint64_t events = 400000;
+  const LocalCompressionAlgorithm algo({4.0});
+  ShardedOptions options;
+  options.threads = 2;
+  const auto finalState = [](const AmoebotSystem& sys,
+                             const ShardedPoissonRunner& runner) {
+    system::SnapshotWriter w;
+    sys.saveState(w);
+    runner.saveState(w);
+    return w.payload();
+  };
+  rng::Random refCtor(7);
+  AmoebotSystem refSys(system::lineConfiguration(400), refCtor);
+  ShardedPoissonRunner reference(refSys, algo, 2016, options);
+  reference.runAtLeast(events);
+
+  rng::Random cutCtor(7);
+  AmoebotSystem cutSys(system::lineConfiguration(400), cutCtor);
+  ShardedPoissonRunner cut(cutSys, algo, 2016, options);
+  core::CancelToken token;
+  cut.setCancelToken(&token);
+  std::thread tripper([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    token.requestCancel();
+  });
+  const std::uint64_t done = cut.runAtLeast(events);
+  tripper.join();
+  const std::vector<std::uint8_t> payload = finalState(cutSys, cut);
+
+  rng::Random resumedCtor(8);  // orientations are overwritten by the restore
+  AmoebotSystem resumedSys(system::lineConfiguration(400), resumedCtor);
+  ShardedPoissonRunner resumed(resumedSys, algo, 2016, options);
+  system::SnapshotReader r(payload);
+  resumedSys.restoreState(r);
+  resumed.restoreState(r);
+  resumed.runAtLeast(done < events ? events - done : 0);
+  EXPECT_EQ(finalState(resumedSys, resumed), finalState(refSys, reference));
 }
 
 TEST(ShardedRunner, PreservesInvariantsAndCompresses) {

@@ -21,13 +21,16 @@
 //   - fixed seeds, so the tests are reproducible rather than flaky.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "analysis/stats.hpp"
+#include "core/cancel.hpp"
 #include "core/epoch_control.hpp"
 #include "core/scenario_models.hpp"
 #include "core/sharded_chain_runner.hpp"
@@ -35,6 +38,7 @@
 #include "system/canonical.hpp"
 #include "system/metrics.hpp"
 #include "system/shapes.hpp"
+#include "system/snapshot.hpp"
 
 namespace sops::core {
 namespace {
@@ -78,12 +82,21 @@ RunSignature signatureOf(const ShardedChainRunner<Model>& runner) {
 /// index suspend/restore cycles) and checks the bookkeeping invariants
 /// every run must keep exactly: tracked e(σ) vs a full recount, and
 /// connectivity (every executed event is a legal move of the model).
+/// With `golden`, also pins the checksum of the saveState payload: the
+/// trajectory and the snapshot byte layout, fixed across commits rather
+/// than only across thread counts.
 template <typename Model>
 RunSignature runAndCheck(ShardedChainRunner<Model>& runner,
-                         std::uint64_t events) {
+                         std::uint64_t events,
+                         std::optional<std::uint64_t> golden = {}) {
   for (int burst = 0; burst < 3; ++burst) runner.runAtLeast(events / 3);
   EXPECT_EQ(runner.edges(), system::countEdges(runner.system()));
   EXPECT_TRUE(system::isConnected(runner.system()));
+  if (golden) {
+    system::SnapshotWriter w;
+    runner.saveState(w);
+    EXPECT_EQ(system::snapshotChecksum(w.payload()), *golden);
+  }
   return signatureOf(runner);
 }
 
@@ -105,7 +118,7 @@ TEST(ShardedChain, CompressionTrajectoryIndependentOfThreadCount) {
     ShardedChainRunner<CompressionModel> runner(
         system::lineConfiguration(300), CompressionModel(options), 9001,
         sharded);
-    signatures.push_back(runAndCheck(runner, 120000));
+    signatures.push_back(runAndCheck(runner, 120000, 0x23fe7da67bf977ddull));
     EXPECT_GT(signatures.back().sweepEvents, 0u);
     EXPECT_LT(signatures.back().sweepEvents, signatures.back().steps);
   }
@@ -127,7 +140,7 @@ TEST(ShardedChain, SeparationTrajectoryIndependentOfThreadCount) {
         system::lineConfiguration(300),
         SeparationModel(options, system::alternatingClasses(300, 2)), 9007,
         sharded);
-    signatures.push_back(runAndCheck(runner, 120000));
+    signatures.push_back(runAndCheck(runner, 120000, 0xd33a4cf1bc9aa0b3ull));
     colorings.push_back(runner.model().colors());
     EXPECT_GT(runner.stats().auxAccepted, 0u);  // swaps actually exercised
   }
@@ -150,7 +163,7 @@ TEST(ShardedChain, AlignmentTrajectoryIndependentOfThreadCount) {
         system::lineConfiguration(300),
         AlignmentModel(options, system::alternatingClasses(300, 6)), 9011,
         sharded);
-    signatures.push_back(runAndCheck(runner, 120000));
+    signatures.push_back(runAndCheck(runner, 120000, 0xd509e3d9851c2083ull));
     orientations.push_back(runner.model().orientations());
     EXPECT_GT(runner.stats().auxAccepted, 0u);  // rotations exercised
   }
@@ -289,6 +302,44 @@ TEST(ShardedChain, CompactShapeTrajectoryIndependentOfThreadCount) {
   for (std::size_t i = 1; i < signatures.size(); ++i) {
     EXPECT_TRUE(signatures[i] == signatures[0]) << "thread count #" << i;
   }
+}
+
+TEST(ShardedChain, MidRunCancelStopsAtABoundaryThatResumesExactly) {
+  // A token tripped from another thread lands mid-epoch, usually while the
+  // overlap helper pre-draws the next epoch.  The run must consume that
+  // epoch, stop at its boundary with nothing pending (saveState would
+  // throw), and its snapshot must continue the uninterrupted trajectory.
+  // Where the cut lands depends on timing; what it must satisfy does not.
+  const std::uint64_t events = 600000;
+  ChainOptions options;
+  options.lambda = 4.0;
+  ShardedChainOptions sharded;
+  sharded.threads = 2;
+  const auto make = [&] {
+    return ShardedChainRunner<CompressionModel>(
+        system::lineConfiguration(300), CompressionModel(options), 9001,
+        sharded);
+  };
+  ShardedChainRunner<CompressionModel> reference = make();
+  reference.runAtLeast(events);
+
+  ShardedChainRunner<CompressionModel> cut = make();
+  CancelToken token;
+  cut.setCancelToken(&token);
+  std::thread tripper([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    token.requestCancel();
+  });
+  const std::uint64_t done = cut.runAtLeast(events);
+  tripper.join();
+  system::SnapshotWriter w;
+  cut.saveState(w);
+
+  ShardedChainRunner<CompressionModel> resumed = make();
+  system::SnapshotReader r(w.payload());
+  resumed.restoreState(r);
+  resumed.runAtLeast(done < events ? events - done : 0);
+  EXPECT_TRUE(signatureOf(resumed) == signatureOf(reference));
 }
 
 }  // namespace

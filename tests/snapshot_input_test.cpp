@@ -9,7 +9,10 @@
 //     rejected before anything is reserved;
 //  3. i64 coordinates outside int32 are rejected;
 //  4. a flat window whose side or origin would wrap the window arithmetic
-//     is rejected instead of writing past the occupancy words.
+//     is rejected instead of writing past the occupancy words;
+//  5. a chain snapshot with more particles than the restoring engine or
+//     sharded runner was built for is rejected before any per-particle
+//     state is written.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,6 +21,8 @@
 #include <vector>
 
 #include "amoebot/amoebot_system.hpp"
+#include "core/scenario_models.hpp"
+#include "core/sharded_chain_runner.hpp"
 #include "rng/random.hpp"
 #include "system/shapes.hpp"
 #include "system/snapshot.hpp"
@@ -199,6 +204,43 @@ TEST(SnapshotInput, AmoebotCoordinateOutsideInt32IsANamedError) {
         sys.restoreState(r);
       },
       "particle tail y");
+}
+
+TEST(SnapshotInput, ChainParticleCountMismatchIsANamedError) {
+  // CompressionModel::deserialize reads nothing, so only the count checks
+  // stand between a 200-particle payload and a runner whose clock and coin
+  // banks hold 48 streams.
+  core::ChainOptions options;
+  options.lambda = 4.0;
+  const core::CompressionModel model(options);
+  core::ShardedChainOptions sharded;
+  sharded.threads = 1;
+  sharded.targetEventsPerEpoch = 4096;
+  core::ShardedChainRunner<core::CompressionModel> big(
+      system::lineConfiguration(200), model, 5, sharded);
+  big.runAtLeast(1000);
+  SnapshotWriter runnerPayload;
+  big.saveState(runnerPayload);
+  core::ShardedChainRunner<core::CompressionModel> small(
+      system::lineConfiguration(48), model, 5, sharded);
+  expectNamedViolation(
+      [&] {
+        SnapshotReader r(runnerPayload.payload());
+        small.restoreState(r);
+      },
+      "stream count");
+
+  const core::CompressionEngine bigEngine(system::lineConfiguration(200),
+                                          model, 5);
+  SnapshotWriter enginePayload;
+  bigEngine.saveState(enginePayload);
+  core::CompressionEngine smallEngine(system::lineConfiguration(48), model, 5);
+  expectNamedViolation(
+      [&] {
+        SnapshotReader r(enginePayload.payload());
+        smallEngine.restoreState(r);
+      },
+      "particle count");
 }
 
 }  // namespace

@@ -325,6 +325,11 @@ TEST(TiledTrajectory, ShardedTiledIndependentOfThreadCount) {
     EXPECT_LT(runner.sweepEvents(), runner.stats().steps);  // striped ran
     EXPECT_EQ(runner.edges(), system::countEdges(runner.system()));
     signatures.push_back(signatureOf(runner));
+    // Cross-commit golden: trajectory and snapshot byte layout.
+    system::SnapshotWriter w;
+    runner.saveState(w);
+    EXPECT_EQ(system::snapshotChecksum(w.payload()), 0x9eb388dd439841f1ull)
+        << threads;
   }
   for (std::size_t i = 1; i < signatures.size(); ++i) {
     EXPECT_TRUE(signatures[i] == signatures[0]) << "thread count #" << i;
@@ -376,6 +381,12 @@ TEST(TiledTrajectory, AmoebotShardedTiledIndependentOfThreadCount) {
     options.threads = threads;
     amoebot::ShardedPoissonRunner runner(sys, algo, 991, options);
     runner.runAtLeast(40000);
+    // Cross-commit golden: trajectory and both snapshot byte layouts.
+    system::SnapshotWriter w;
+    sys.saveState(w);
+    runner.saveState(w);
+    EXPECT_EQ(system::snapshotChecksum(w.payload()), 0x01792041cc3de515ull)
+        << threads;
     Outcome outcome;
     for (std::size_t id = 0; id < sys.size(); ++id) {
       outcome.tails.push_back(sys.particle(id).tail);

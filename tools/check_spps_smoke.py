@@ -275,11 +275,12 @@ def main():
             fail(f"spps {bad!r}: stderr lacks an 'unknown ...' message")
     print("ok: unknown scenario/parameter specs fail loudly")
 
-    # Durable runs: a real SIGKILL (sequential compression and the sharded
+    # Durable runs: a real SIGKILL (sequential compression, the sharded
     # separation runner — the one with the most derived state to rebuild on
-    # restore), then graceful SIGTERM.
+    # restore — and the sharded amoebot runner), then graceful SIGTERM.
     check_crash_resume(spps, workdir, "compression", "lambda=4.0")
     check_crash_resume(spps, workdir, "separation", "gamma=4.0 threads=2")
+    check_crash_resume(spps, workdir, "amoebot", "threads=2")
     check_sigterm_exit(spps, workdir)
     print("spps smoke: all scenarios runnable from a RunSpec alone; "
           "crash-resume and SIGTERM cancellation verified")
