@@ -9,8 +9,8 @@
 // seed plus a seed ensemble run as replicas of the compression scenario
 // (sim::Registry), measurement is an Observer instead of an inline loop,
 // and the plot CSV/SVG come from the spec's sinks.  The replica seeds
-// (seed + 7·r) and engine construction are identical to the pre-facade
-// core::runEnsemble path, so the trajectories are unchanged.
+// (seed + 7·r) reproduce the pre-facade per-seed runs, so the
+// trajectories are unchanged.
 //
 // Env knobs (CI shrink): SOPS_FIG2_N, SOPS_FIG2_LAMBDA,
 // SOPS_FIG2_CHECKPOINT, SOPS_FIG2_CHECKPOINTS, SOPS_SEED, SOPS_FIG2_SEEDS,

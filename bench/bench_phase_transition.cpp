@@ -7,25 +7,53 @@
 // a long run; the curve must fall from the expanded plateau to the
 // compressed plateau somewhere inside the paper's window.
 //
-// The whole (λ × seed) grid runs as one replica ensemble across all cores
-// (core/ensemble); per-replica trajectories are deterministic per seed and
-// independent of the thread count.
+// The whole (λ × seed) grid runs across all cores: one RunSpec per λ whose
+// replicas are the seed ensemble (seeds seed + 7·s), the per-λ specs
+// spread over core::parallelForIndex with one thread each.  Per-replica
+// trajectories are deterministic per seed and independent of the thread
+// count.
 #include <algorithm>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "analysis/csv.hpp"
 #include "analysis/time_series.hpp"
 #include "bench_util.hpp"
 #include "core/ensemble.hpp"
+#include "sim/runner.hpp"
 #include "system/metrics.hpp"
-#include "system/shapes.hpp"
+
+namespace {
+
+using namespace sops;
+
+/// Records every replica's perimeter samples (iteration 0 excluded: the
+/// estimate is a late-run mean) into one time series per replica.
+class PerimeterSeries : public sim::Observer {
+ public:
+  explicit PerimeterSeries(std::size_t replicas) : series_(replicas) {}
+
+  void onSample(const sim::Sample& sample) override {
+    if (sample.iteration == 0) return;
+    // perimeter is column 1 of the compression metrics.
+    series_[sample.replica].record(sample.iteration, sample.values[1]);
+  }
+
+  [[nodiscard]] const analysis::TimeSeries& series(std::size_t r) const {
+    return series_[r];
+  }
+
+ private:
+  std::vector<analysis::TimeSeries> series_;
+};
+
+}  // namespace
 
 int main(int argc, char** argv) {
   sops::bench::expectNoArgs(argc, argv,
                             "SOPS_PHASE_N, SOPS_PHASE_ITERS, "
                             "SOPS_PHASE_SEEDS, SOPS_SEED, SOPS_THREADS");
-  using namespace sops;
   const auto n = bench::envInt("SOPS_PHASE_N", 100);
   const auto iterations = bench::envInt("SOPS_PHASE_ITERS", 8000000);
   const auto seedCount =
@@ -40,23 +68,20 @@ int main(int argc, char** argv) {
 
   const std::vector<double> lambdas = {1.0, 1.5,  2.0, 2.17, 2.5,
                                        3.0, 3.41, 4.0, 5.0,  6.0};
-  std::vector<std::uint64_t> seeds;
-  for (std::int64_t s = 0; s < seedCount; ++s) {
-    seeds.push_back(baseSeed + 7 * static_cast<std::uint64_t>(s));
-  }
-
-  const auto specs = core::lambdaSeedGrid(
-      [n] { return system::lineConfiguration(n); }, core::ChainOptions{},
-      lambdas, seeds, static_cast<std::uint64_t>(iterations),
-      static_cast<std::uint64_t>(iterations) / 40,
-      [](const core::CompressionChain& chain) {
-        return static_cast<double>(system::perimeter(chain.system()));
-      });
-
-  core::EnsembleOptions ensembleOptions;
-  ensembleOptions.threads = threads;
-  ensembleOptions.keepFinalSystems = false;
-  const auto results = core::runEnsemble(specs, ensembleOptions);
+  std::vector<PerimeterSeries> results(
+      lambdas.size(), PerimeterSeries(static_cast<std::size_t>(seedCount)));
+  core::parallelForIndex(lambdas.size(), threads, [&](std::size_t i) {
+    sim::RunSpec spec = sim::RunSpec::parse(
+        "scenario=compression shape=line seed-stride=7 threads=1");
+    // 17 significant digits round-trip the double exactly.
+    spec.params.set("lambda", analysis::formatDouble(lambdas[i], 17));
+    spec.n = n;
+    spec.steps = static_cast<std::uint64_t>(iterations);
+    spec.checkpointEvery = static_cast<std::uint64_t>(iterations) / 40;
+    spec.seed = baseSeed;
+    spec.replicas = static_cast<std::uint32_t>(seedCount);
+    (void)sim::run(spec, results[i]);
+  });
 
   analysis::CsvWriter csv(bench::csvPath("phase_transition.csv"),
                           {"lambda", "alpha", "beta", "regime"});
@@ -64,21 +89,16 @@ int main(int argc, char** argv) {
 
   const double pMin = static_cast<double>(system::pMin(n));
   const double pMax = static_cast<double>(system::pMax(n));
-  // Specs are λ-major: results [i*seeds .. (i+1)*seeds) share lambdas[i].
   for (std::size_t i = 0; i < lambdas.size(); ++i) {
     const double lambda = lambdas[i];
     // Quasi-stationary estimate: per replica, mean perimeter over the last
     // quarter of the run; then average across the seed ensemble.
     double p = 0.0;
-    for (std::size_t s = 0; s < seeds.size(); ++s) {
-      const core::ReplicaResult& r = results[i * seeds.size() + s];
-      analysis::TimeSeries series;
-      for (const core::ReplicaSample& sample : r.samples) {
-        series.record(sample.iteration, sample.value);
-      }
-      p += series.meanAfter(static_cast<std::uint64_t>(3 * iterations / 4));
+    for (std::int64_t s = 0; s < seedCount; ++s) {
+      p += results[i].series(static_cast<std::size_t>(s)).meanAfter(
+          static_cast<std::uint64_t>(3 * iterations / 4));
     }
-    p /= static_cast<double>(seeds.size());
+    p /= static_cast<double>(seedCount);
     const char* regime = lambda < 2.17  ? "expansion (Thm 5.7)"
                          : lambda > 3.42 ? "compression (Thm 4.5)"
                                          : "conjectured window";

@@ -35,9 +35,10 @@
 ///   // hash probe.
 ///
 /// For a kUniformWeight model the factor path compiles away entirely and
-/// the step body is literally the CompressionChain step: the golden test
-/// (tests/biased_engine_test.cpp) pins the compression scenario
-/// draw-for-draw and outcome-for-outcome against core::CompressionChain.
+/// the step body is exactly the paper's chain M: the golden tests
+/// (tests/golden_trajectory_test.cpp, tests/biased_engine_test.cpp) pin
+/// the compression scenario draw-for-draw and outcome-for-outcome against
+/// the frozen seed kernel core::ReferenceKernel.
 ///
 /// The move body itself lives in the free chainEventStep() below, shared
 /// with core::ShardedChainRunner (the multi-core Poissonized execution of
@@ -127,6 +128,30 @@ struct EngineStepResult {
   AuxOutcome aux = AuxOutcome::Skipped;
 };
 
+/// The accepted-movement tail of chainEventStep.  Out of line on purpose:
+/// steps are mostly rejections, and a small reject path lets gcc inline
+/// the draws and occupancy probes into every caller's loop.
+template <typename Model>
+  requires ChainWeightModel<Model>
+[[gnu::noinline]] void acceptMovement(system::ParticleSystem& sys,
+                                      Model& model, ParticleIdPlane& ids,
+                                      std::size_t particle, TriPoint from,
+                                      TriPoint to) {
+  sys.moveParticle(particle, to);
+  model.onMoved(sys, particle, from, to);
+  if constexpr (ModelNeedsPartnerIds<Model>::value) {
+    // A flat regrow inside moveParticle invalidates a Flat mirror; the
+    // geometry fingerprint catches it and resyncs.  A Paged plane keys
+    // absolute coordinates, so it tracks the move even when the grid just
+    // grew a tile.
+    if (ids.tracksMoves(sys.grid())) {
+      ids.move(from, to, particle);
+    } else {
+      ids.sync(sys);
+    }
+  }
+}
+
 /// One chain event, given the already-hoisted draws: the move body shared
 /// verbatim by BiasedChainEngine::step() (which selects the particle
 /// uniformly from its single RNG) and ShardedChainRunner (which selects it
@@ -136,12 +161,11 @@ struct EngineStepResult {
 /// accounting is left to the caller so stripe workers can tally locally.
 template <typename Model>
   requires ChainWeightModel<Model>
-EngineStepResult chainEventStep(system::ParticleSystem& sys, Model& model,
-                                ParticleIdPlane& ids,
-                                const std::array<MoveDecision, 256>& decisions,
-                                bool greedy, std::size_t particle, int draw6,
-                                bool auxMove, rng::Random& rng,
-                                std::int64_t& edges) {
+inline EngineStepResult chainEventStep(
+    system::ParticleSystem& sys, Model& model, ParticleIdPlane& ids,
+    const std::array<MoveDecision, 256>& decisions, bool greedy,
+    std::size_t particle, int draw6, bool auxMove, rng::Random& rng,
+    std::int64_t& edges) {
   EngineStepResult result;
   if constexpr (Model::kHasAuxMove) {
     if (auxMove) {
@@ -178,21 +202,8 @@ EngineStepResult chainEventStep(system::ParticleSystem& sys, Model& model,
         accept = threshold >= 1.0 || rng.uniform() < threshold;
       }
       if (accept) {
-        const TriPoint target = lattice::neighbor(l, d);
-        sys.moveParticle(particle, target);
+        acceptMovement(sys, model, ids, particle, l, lattice::neighbor(l, d));
         edges += decision.delta;
-        model.onMoved(sys, particle, l, target);
-        if constexpr (ModelNeedsPartnerIds<Model>::value) {
-          // A flat regrow inside moveParticle invalidates a Flat mirror;
-          // the geometry fingerprint catches it and resyncs.  A Paged
-          // plane keys absolute coordinates, so it tracks the move even
-          // when the grid just grew a tile.
-          if (ids.tracksMoves(sys.grid())) {
-            ids.move(l, target, particle);
-          } else {
-            ids.sync(sys);
-          }
-        }
         outcome = StepOutcome::Accepted;
       } else {
         outcome = StepOutcome::RejectedFilter;
@@ -221,8 +232,9 @@ class BiasedChainEngine {
     model_.attach(system_);
     if constexpr (kMaintainsIds) partnerIds_.sync(system_);
     edges_ = system::countEdges(system_);
-    // The exact fold CompressionChain uses — one shared implementation, so
-    // the ablation semantics cannot drift between chain and engine.
+    // The one fold of chain M's rules (core/compression_chain.hpp), shared
+    // with ShardedChainRunner, so the ablation semantics cannot drift
+    // between the two execution disciplines.
     decisions_ = buildDecisionTable(options);
   }
 

@@ -7,9 +7,9 @@
 /// Every chain runner draws particles with rng::Random::below(uint32), so a
 /// system of 2³² or more particles would silently sample only a truncated
 /// prefix.  The particle count is conserved by all move kinds, so checking
-/// once at construction protects every subsequent step.  All runners
-/// (CompressionChain, SeparationChain, BiasedChainEngine) share this one
-/// helper so the guard cannot be forgotten by the next scenario.
+/// once at construction protects every subsequent step.  Both sequential
+/// runners (BiasedChainEngine and SeparationChain) share this one helper
+/// so the guard cannot be forgotten by the next scenario.
 
 #include <cstdint>
 #include <limits>

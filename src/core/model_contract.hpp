@@ -17,9 +17,8 @@
 ///
 ///   ChainWeightModel<M>   the full contract both disciplines require —
 ///                         applied as a requires-clause on
-///                         BiasedChainEngine, ShardedChainRunner, the
-///                         registry scenario wrappers, and the scenario
-///                         ensemble.
+///                         BiasedChainEngine, ShardedChainRunner and the
+///                         registry scenario wrappers.
 ///   AuxMoveModel<M>       the auxiliary-move surface (swap, rotation,
 ///                         ...); required exactly when M::kHasAuxMove.
 ///

@@ -129,7 +129,8 @@ class ShadowPlanes {
 
 // ---------------------------------------------------------------------------
 // Compression: w(σ) = λ^e.  The factor path compiles away; the engine step
-// is the CompressionChain step, draw-for-draw (golden-tested).
+// is the paper's chain M, draw-for-draw the frozen core::ReferenceKernel
+// (golden-tested).
 
 class CompressionModel {
  public:

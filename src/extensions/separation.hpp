@@ -43,7 +43,7 @@ enum class SeparationMoveKind : std::uint8_t { Movement, Swap };
 /// The movement-move Metropolis threshold λ^{Δe}·γ^{Δhom}, computed from
 /// the shared core::lambdaPower so it cannot drift from the compression
 /// chain's per-mask decision table (at γ = 1 it *is* the chain's threshold,
-/// pinned by Separation.MovementThresholdMatchesCompressionChainAtGammaOne).
+/// pinned by Separation.MovementThresholdMatchesChainMAtGammaOne).
 [[nodiscard]] double separationMovementThreshold(
     const SeparationOptions& options, int edgeDelta, int homDelta);
 

@@ -22,10 +22,12 @@ namespace sops::rng {
 /// producing 64-bit words.  `Random` delegates to these, and the SoA stream
 /// banks (stream_bank.hpp) call them directly on a register-resident
 /// engine — one definition, so the two paths cannot drift bit-wise.
+/// The chain step's draws (drawUniform, drawBelow) are `inline` as a hint:
+/// without it gcc left these templates out of line in large TUs.
 
 /// Uniform double in [0, 1) with 53 bits of precision.
 template <typename Engine>
-[[nodiscard]] double drawUniform(Engine& engine) noexcept {
+[[nodiscard]] inline double drawUniform(Engine& engine) noexcept {
   return static_cast<double>(engine() >> 11) * 0x1.0p-53;
 }
 
@@ -49,8 +51,8 @@ template <typename Engine>
 /// Uniform integer in [0, bound).  Uses Lemire's multiply-shift rejection
 /// method: unbiased for every bound, one division only on rejection.
 template <typename Engine>
-[[nodiscard]] std::uint32_t drawBelow(Engine& engine,
-                                      std::uint32_t bound) noexcept {
+[[nodiscard]] inline std::uint32_t drawBelow(Engine& engine,
+                                             std::uint32_t bound) noexcept {
   SOPS_DASSERT(bound > 0);
   std::uint64_t x = engine() >> 32;  // 32 uniform bits
   std::uint64_t m = x * bound;

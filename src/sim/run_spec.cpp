@@ -73,15 +73,22 @@ RunSpec RunSpec::fromParams(const ParamMap& map) {
   const std::int64_t checkpoint = reservedOnly.getInt("checkpoint", 0);
   SOPS_REQUIRE(checkpoint >= 0, "checkpoint must be non-negative");
   spec.checkpointEvery = static_cast<std::uint64_t>(checkpoint);
-  spec.seed = static_cast<std::uint64_t>(
-      reservedOnly.getInt("seed", static_cast<std::int64_t>(spec.seed)));
+  // seed and seed-stride are stored unsigned but parsed as signed ints: a
+  // negative value would wrap to a huge u64 that toText() then writes and
+  // parse() rejects, so the spec would no longer round-trip.
+  const std::int64_t seed =
+      reservedOnly.getInt("seed", static_cast<std::int64_t>(spec.seed));
+  SOPS_REQUIRE(seed >= 0, "seed must be non-negative");
+  spec.seed = static_cast<std::uint64_t>(seed);
   const std::int64_t replicas = reservedOnly.getInt("replicas", 1);
   SOPS_REQUIRE(replicas > 0 &&
                    replicas <= std::numeric_limits<std::uint32_t>::max(),
                "replicas must be in [1, 2^32)");
   spec.replicas = static_cast<std::uint32_t>(replicas);
-  spec.seedStride = static_cast<std::uint64_t>(reservedOnly.getInt(
-      "seed-stride", static_cast<std::int64_t>(spec.seedStride)));
+  const std::int64_t seedStride = reservedOnly.getInt(
+      "seed-stride", static_cast<std::int64_t>(spec.seedStride));
+  SOPS_REQUIRE(seedStride >= 0, "seed-stride must be non-negative");
+  spec.seedStride = static_cast<std::uint64_t>(seedStride);
   const std::int64_t threads = reservedOnly.getInt("threads", 0);
   // A negative count is a sign error and a five-digit one is a typo'd
   // seed or step count landing in the wrong key — both would silently

@@ -38,7 +38,7 @@
 namespace sops::sim {
 
 /// Early-stop predicate, evaluated after every checkpoint sample; true
-/// ends that replica (the ensemble stopWhen, facade-shaped).
+/// ends that replica.
 ///
 /// **Concurrency contract.**  sim::run() holds ONE StopWhen and, when
 /// replicas > 1, invokes it concurrently and unsynchronized from every

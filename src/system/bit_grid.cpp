@@ -175,6 +175,16 @@ void BitGrid::rebuildExact(std::span<const TriPoint> points,
   }
 }
 
+std::uint8_t BitGrid::ringMaskSeam(TriPoint l, int dirIndex) const noexcept {
+  const SeamBlock block = resolveSeamBlock(l, kInteriorMargin);
+  const auto& offsets = lattice::kEdgeRingOffsets[dirIndex];
+  std::uint32_t mask = 0;
+  for (int idx = 0; idx < lattice::kEdgeRingSize; ++idx) {
+    if (seamTest(block, l + offsets[idx])) mask |= 1u << idx;
+  }
+  return static_cast<std::uint8_t>(mask);
+}
+
 void BitGrid::computeDeltas(std::int64_t strideBits) noexcept {
   for (int d = 0; d < lattice::kNumDirections; ++d) {
     for (int idx = 0; idx < lattice::kEdgeRingSize; ++idx) {

@@ -244,13 +244,7 @@ class BitGrid {
           return gatherRing(base, dirIndex);
         }
       }
-      const SeamBlock block = resolveSeamBlock(l, kInteriorMargin);
-      const auto& offsets = lattice::kEdgeRingOffsets[dirIndex];
-      std::uint32_t mask = 0;
-      for (int idx = 0; idx < lattice::kEdgeRingSize; ++idx) {
-        if (seamTest(block, l + offsets[idx])) mask |= 1u << idx;
-      }
-      return static_cast<std::uint8_t>(mask);
+      return ringMaskSeam(l, dirIndex);
     }
     const std::uint64_t base =
         static_cast<std::uint64_t>(static_cast<std::int64_t>(l.y) - originY_) *
@@ -482,6 +476,12 @@ class BitGrid {
     std::uint64_t base[2][2] = {};  // word-bit tile bases; kNoTile if absent
   };
   static constexpr std::uint64_t kNoTile = ~std::uint64_t{0};
+
+  /// ringMaskUnchecked's tiled seam-band fallback: out of line so the
+  /// common interior gather stays small enough to inline into the chain
+  /// step.
+  [[nodiscard]] std::uint8_t ringMaskSeam(TriPoint l,
+                                          int dirIndex) const noexcept;
 
   [[nodiscard]] SeamBlock resolveSeamBlock(TriPoint c,
                                            std::int64_t reach) const noexcept {

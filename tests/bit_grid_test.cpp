@@ -9,7 +9,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "core/compression_chain.hpp"
+#include "core/scenario_models.hpp"
 #include "lattice/edge_ring.hpp"
 #include "rng/random.hpp"
 #include "system/bit_grid.hpp"
@@ -193,7 +193,7 @@ TEST(ParticleSystemGrid, NeighborQueriesMatchSparseAlongTrajectory) {
     if (backend == Backend::Tiled) start.forceTiledForTest();
     core::ChainOptions options;
     options.lambda = 4.0;
-    core::CompressionChain chain(start, options, 1603);
+    core::CompressionEngine chain(start, core::CompressionModel(options), 1603);
     ASSERT_EQ(chain.system().grid().tiled(), backend == Backend::Tiled);
     for (int step = 0; step < 8000; ++step) {
       chain.step();

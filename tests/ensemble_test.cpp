@@ -1,179 +1,189 @@
-// Tests for the replica ensemble runner (core/ensemble): spec-order
-// results, per-seed determinism independent of thread count, checkpoint
-// sampling, early stopping, error propagation, and the λ×seed grid builder.
+// Tests for the one replica fan-out: core::parallelForIndex (claim order,
+// inline execution, first-error rethrow after join, skipped unclaimed
+// indices) and sim::run's replicas over it for the paper's chain M —
+// replica order, per-seed determinism independent of the thread count,
+// identity with a directly driven CompressionEngine, checkpoint sampling
+// and early stopping.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "core/biased_chain_engine.hpp"
 #include "core/ensemble.hpp"
-#include "system/metrics.hpp"
+#include "core/scenario_models.hpp"
+#include "sim/runner.hpp"
 #include "system/shapes.hpp"
 
 namespace sops::core {
 namespace {
 
-ReplicaSpec basicSpec(double lambda, std::uint64_t seed,
-                      std::uint64_t iterations) {
-  ReplicaSpec spec;
-  spec.label = "lambda=" + std::to_string(lambda);
-  spec.options.lambda = lambda;
-  spec.seed = seed;
-  spec.iterations = iterations;
-  spec.makeInitial = [] { return system::lineConfiguration(20); };
+// -- parallelForIndex ---------------------------------------------------------
+
+TEST(ParallelForIndex, OneWorkerOrOneIndexRunsInline) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  parallelForIndex(5, 1, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  int calls = 0;
+  parallelForIndex(1, 4, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    EXPECT_EQ(i, 0u);
+    ++calls;
+  });
+  EXPECT_EQ(calls, 1);
+  parallelForIndex(0, 4, [&](std::size_t) { ++calls; });
+  EXPECT_EQ(calls, 1);
+}
+
+TEST(ParallelForIndex, InlineErrorSkipsTheRemainingIndices) {
+  std::vector<std::size_t> ran;
+  try {
+    parallelForIndex(10, 1, [&ran](std::size_t i) {
+      if (i == 3) throw std::runtime_error("index 3");
+      ran.push_back(i);
+    });
+    FAIL() << "the error was swallowed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "index 3");
+  }
+  EXPECT_EQ(ran, (std::vector<std::size_t>{0, 1, 2}));
+}
+
+TEST(ParallelForIndex, FirstErrorRethrownAfterJoinAndUnclaimedSkipped) {
+  // Index 0 is claimed first and throws; every other index waits until it
+  // has thrown and then takes a millisecond, so the sibling worker can
+  // claim at most a handful before the drain — a pool that kept claiming
+  // would run all of them.  Every invocation that started must have
+  // finished before the error reaches the caller (rethrow after join).
+  constexpr std::size_t kCount = 1000;
+  std::atomic<bool> thrown{false};
+  std::atomic<int> inFlight{0};
+  std::atomic<std::size_t> ran{0};
+  try {
+    parallelForIndex(kCount, 2, [&](std::size_t i) {
+      ++inFlight;
+      if (i == 0) {
+        thrown = true;
+        --inFlight;
+        throw std::runtime_error("index 0");
+      }
+      while (!thrown) std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      ++ran;
+      --inFlight;
+    });
+    FAIL() << "the error was swallowed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "index 0");
+    EXPECT_EQ(inFlight.load(), 0);
+  }
+  EXPECT_LT(ran.load(), kCount - 1);
+}
+
+// -- sim::run replicas of chain M over the fan-out ---------------------------
+
+sim::RunSpec compressionReplicas(std::uint32_t replicas, std::uint64_t steps,
+                                 unsigned threads) {
+  sim::RunSpec spec = sim::RunSpec::parse(
+      "scenario=compression n=20 seed=1 seed-stride=7 lambda=4.0");
+  spec.replicas = replicas;
+  spec.steps = steps;
+  spec.threads = threads;
   return spec;
 }
 
 TEST(Ensemble, ResultsComeBackInSpecOrderWithLabels) {
-  std::vector<ReplicaSpec> specs;
-  specs.push_back(basicSpec(4.0, 1, 1000));
-  specs.push_back(basicSpec(2.0, 2, 1000));
-  specs.push_back(basicSpec(1.0, 3, 1000));
-  const auto results = runEnsemble(specs);
-  ASSERT_EQ(results.size(), 3u);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    EXPECT_EQ(results[i].index, i);
-    EXPECT_EQ(results[i].label, specs[i].label);
-    EXPECT_EQ(results[i].seed, specs[i].seed);
-    EXPECT_EQ(results[i].lambda, specs[i].options.lambda);
-    EXPECT_EQ(results[i].iterationsRun, 1000u);
-    EXPECT_EQ(results[i].stats.steps, 1000u);
+  const sim::RunSpec spec = compressionReplicas(3, 1000, 3);
+  const sim::RunReport report = sim::run(spec);
+  ASSERT_EQ(report.replicas.size(), 3u);
+  for (std::size_t r = 0; r < report.replicas.size(); ++r) {
+    const sim::ReplicaSummary& summary = report.replicas[r];
+    EXPECT_EQ(summary.replica, r);
+    EXPECT_EQ(summary.seed, 1u + 7u * r);
+    EXPECT_EQ(summary.label,
+              "compression seed=" + std::to_string(summary.seed));
+    EXPECT_EQ(summary.steps, 1000u);
   }
 }
 
 TEST(Ensemble, DeterministicAcrossThreadCounts) {
-  std::vector<ReplicaSpec> specs;
-  for (std::uint64_t s = 1; s <= 6; ++s) {
-    specs.push_back(basicSpec(4.0, s, 20000));
-  }
-  EnsembleOptions serial;
-  serial.threads = 1;
-  EnsembleOptions parallel4;
-  parallel4.threads = 4;
-  EnsembleOptions parallel8;
-  parallel8.threads = 8;
-  const auto a = runEnsemble(specs, serial);
-  const auto b = runEnsemble(specs, parallel4);
-  const auto c = runEnsemble(specs, parallel8);
-  ASSERT_EQ(a.size(), b.size());
-  ASSERT_EQ(a.size(), c.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].edges, b[i].edges) << "replica " << i;
-    EXPECT_EQ(a[i].edges, c[i].edges) << "replica " << i;
-    EXPECT_EQ(a[i].stats.accepted, b[i].stats.accepted) << "replica " << i;
-    EXPECT_EQ(a[i].stats.accepted, c[i].stats.accepted) << "replica " << i;
-    EXPECT_TRUE(a[i].finalSystem.sameArrangement(b[i].finalSystem))
-        << "replica " << i;
-    EXPECT_TRUE(a[i].finalSystem.sameArrangement(c[i].finalSystem))
-        << "replica " << i;
+  sim::MemorySink serial;
+  sim::MemorySink parallel4;
+  sim::MemorySink parallel8;
+  (void)sim::run(compressionReplicas(6, 20000, 1), serial);
+  (void)sim::run(compressionReplicas(6, 20000, 4), parallel4);
+  (void)sim::run(compressionReplicas(6, 20000, 8), parallel8);
+  ASSERT_EQ(serial.summaries().size(), 6u);
+  ASSERT_EQ(parallel4.summaries().size(), 6u);
+  ASSERT_EQ(parallel8.summaries().size(), 6u);
+  for (std::size_t r = 0; r < 6; ++r) {
+    const auto& a = serial.summaries()[r];
+    const auto& b = parallel4.summaries()[r];
+    const auto& c = parallel8.summaries()[r];
+    EXPECT_EQ(a.summary.finalMetrics, b.summary.finalMetrics) << r;
+    EXPECT_EQ(a.summary.finalMetrics, c.summary.finalMetrics) << r;
+    EXPECT_TRUE(a.system.sameArrangement(b.system)) << "replica " << r;
+    EXPECT_TRUE(a.system.sameArrangement(c.system)) << "replica " << r;
   }
 }
 
 TEST(Ensemble, MatchesStandaloneChainExactly) {
-  // A replica is the same object as a directly driven CompressionChain.
-  auto spec = basicSpec(4.0, 99, 20000);
-  const auto results = runEnsemble(std::vector<ReplicaSpec>{spec});
-  CompressionChain direct(system::lineConfiguration(20), spec.options, 99);
-  direct.run(20000);
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_TRUE(results[0].finalSystem.sameArrangement(direct.system()));
-  EXPECT_EQ(results[0].edges, direct.edges());
-  EXPECT_EQ(results[0].stats.accepted, direct.stats().accepted);
+  // A replica is the same trajectory as a directly driven engine.
+  sim::MemorySink sink;
+  (void)sim::run(compressionReplicas(2, 20000, 2), sink);
+  ASSERT_EQ(sink.summaries().size(), 2u);
+  for (std::size_t r = 0; r < 2; ++r) {
+    ChainOptions options;
+    options.lambda = 4.0;
+    CompressionEngine direct(system::lineConfiguration(20),
+                             CompressionModel(options), 1 + 7 * r);
+    direct.run(20000);
+    const auto& stored = sink.summaries()[r];
+    EXPECT_TRUE(stored.system.sameArrangement(direct.system()));
+    // edges is column 0 of the compression metrics.
+    EXPECT_EQ(stored.summary.finalMetrics[0],
+              static_cast<double>(direct.edges()));
+  }
 }
 
 TEST(Ensemble, ChecksampledObservableAndFinalStats) {
-  auto spec = basicSpec(4.0, 7, 5000);
+  sim::RunSpec spec = compressionReplicas(2, 5000, 2);
   spec.checkpointEvery = 1000;
-  spec.observable = [](const CompressionChain& chain) {
-    return static_cast<double>(chain.edges());
-  };
-  const auto results = runEnsemble(std::vector<ReplicaSpec>{spec});
-  ASSERT_EQ(results.size(), 1u);
-  const auto& samples = results[0].samples;
-  ASSERT_EQ(samples.size(), 5u);
-  for (std::size_t k = 0; k < samples.size(); ++k) {
-    EXPECT_EQ(samples[k].iteration, (k + 1) * 1000);
+  sim::MemorySink sink;
+  const sim::RunReport report = sim::run(spec, sink);
+  // Per replica: the iteration-0 row plus one row per checkpoint, streamed
+  // in replica order.
+  ASSERT_EQ(sink.samples().size(), 2u * 6u);
+  for (std::size_t k = 0; k < sink.samples().size(); ++k) {
+    EXPECT_EQ(sink.samples()[k].replica, k / 6);
+    EXPECT_EQ(sink.samples()[k].iteration, (k % 6) * 1000);
   }
-  EXPECT_EQ(samples.back().value, static_cast<double>(results[0].edges));
+  for (std::size_t r = 0; r < 2; ++r) {
+    EXPECT_EQ(sink.samples()[6 * r + 5].values,
+              report.replicas[r].finalMetrics);
+  }
 }
 
 TEST(Ensemble, StopWhenEndsReplicaEarly) {
-  auto spec = basicSpec(4.0, 11, 1000000);
+  sim::RunSpec spec = compressionReplicas(2, 1000000, 2);
   spec.checkpointEvery = 500;
-  spec.stopWhen = [](const CompressionChain&, std::uint64_t done) {
-    return done >= 2000;
-  };
-  const auto results = runEnsemble(std::vector<ReplicaSpec>{spec});
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_TRUE(results[0].stoppedEarly);
-  EXPECT_EQ(results[0].iterationsRun, 2000u);
-}
-
-TEST(Ensemble, DropsFinalSystemsWhenAsked) {
-  EnsembleOptions options;
-  options.keepFinalSystems = false;
-  const auto results =
-      runEnsemble(std::vector<ReplicaSpec>{basicSpec(4.0, 1, 100)}, options);
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_TRUE(results[0].finalSystem.empty());
-  EXPECT_EQ(results[0].stats.steps, 100u);
-}
-
-TEST(Ensemble, OnReplicaDoneFiresOncePerReplica) {
-  std::vector<ReplicaSpec> specs;
-  for (std::uint64_t s = 1; s <= 5; ++s) {
-    specs.push_back(basicSpec(3.0, s, 500));
-  }
-  std::atomic<int> calls{0};
-  EnsembleOptions options;
-  options.threads = 3;
-  options.onReplicaDone = [&calls](const ReplicaResult&) { ++calls; };
-  const auto results = runEnsemble(specs, options);
-  EXPECT_EQ(results.size(), 5u);
-  EXPECT_EQ(calls.load(), 5);
-}
-
-TEST(Ensemble, MissingFactoryThrows) {
-  ReplicaSpec broken;
-  broken.iterations = 10;
-  EXPECT_THROW(
-      (void)runEnsemble(std::vector<ReplicaSpec>{broken}),
-      ContractViolation);
-}
-
-TEST(Ensemble, ReplicaErrorPropagates) {
-  // Disconnected start: the chain constructor throws on the worker thread;
-  // runEnsemble must surface it on the caller.
-  ReplicaSpec broken = basicSpec(4.0, 1, 10);
-  broken.makeInitial = [] {
-    return system::ParticleSystem(
-        std::vector<lattice::TriPoint>{{0, 0}, {7, 7}});
-  };
-  EnsembleOptions options;
-  options.threads = 2;
-  EXPECT_THROW(
-      (void)runEnsemble(std::vector<ReplicaSpec>{broken, basicSpec(4.0, 2, 10)},
-                        options),
-      ContractViolation);
-}
-
-TEST(Ensemble, LambdaSeedGridBuildsCrossProductLambdaMajor) {
-  const std::vector<double> lambdas = {2.0, 4.0, 6.0};
-  const std::vector<std::uint64_t> seeds = {10, 20};
-  const auto specs = lambdaSeedGrid(
-      [] { return system::lineConfiguration(10); }, ChainOptions{}, lambdas,
-      seeds, 123, 45);
-  ASSERT_EQ(specs.size(), 6u);
-  for (std::size_t i = 0; i < lambdas.size(); ++i) {
-    for (std::size_t s = 0; s < seeds.size(); ++s) {
-      const ReplicaSpec& spec = specs[i * seeds.size() + s];
-      EXPECT_EQ(spec.options.lambda, lambdas[i]);
-      EXPECT_EQ(spec.seed, seeds[s]);
-      EXPECT_EQ(spec.iterations, 123u);
-      EXPECT_EQ(spec.checkpointEvery, 45u);
-      EXPECT_NE(spec.makeInitial, nullptr);
-    }
+  sim::Observer none;
+  const sim::RunReport report =
+      sim::run(spec, none, [](const sim::Sample& sample) {
+        return sample.iteration >= 2000;
+      });
+  ASSERT_EQ(report.replicas.size(), 2u);
+  for (const sim::ReplicaSummary& replica : report.replicas) {
+    EXPECT_EQ(replica.steps, 2000u);
   }
 }
 

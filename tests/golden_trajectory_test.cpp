@@ -1,19 +1,24 @@
-// Golden-trajectory equivalence: the optimized chain (bitboard occupancy +
-// precomputed move/decision tables) must be *step-for-step identical* to an
-// independent re-implementation of the seed kernel — same RNG draw order,
-// same outcome classification, same arrangement, same incrementally
-// maintained edge count — for fixed seeds over long runs.  This is what
-// keeps the stationary-distribution tests meaningful after hot-path
-// rewrites: the optimization is required to be a no-op on the trajectory.
+// Golden-trajectory equivalence: the optimized chain M —
+// core::CompressionEngine, i.e. BiasedChainEngine<CompressionModel>
+// (bitboard occupancy + precomputed move/decision tables) — must be
+// *step-for-step identical* to an independent re-implementation of the seed
+// kernel: same RNG draw order, same outcome classification, same
+// arrangement, same incrementally maintained edge count, for fixed seeds
+// over long runs.  This is what keeps the stationary-distribution tests
+// meaningful after hot-path rewrites: the optimization is required to be a
+// no-op on the trajectory.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
+#include "core/biased_chain_engine.hpp"
 #include "core/compression_chain.hpp"
 #include "core/properties.hpp"
 #include "core/reference_kernel.hpp"
+#include "core/scenario_models.hpp"
 #include "rng/random.hpp"
 #include "system/metrics.hpp"
 #include "system/shapes.hpp"
@@ -32,17 +37,19 @@ using system::ParticleSystem;
 void expectIdenticalTrajectory(const ParticleSystem& start,
                                ChainOptions options, std::uint64_t seed,
                                std::uint64_t steps) {
-  CompressionChain fast(start, options, seed);
+  CompressionEngine fast(start, CompressionModel(options), seed);
   ReferenceKernel reference(start, options, seed);
   for (std::uint64_t i = 0; i < steps; ++i) {
-    const StepOutcome a = fast.step();
+    const EngineStepResult a = fast.step();
     const StepOutcome b = reference.step();
-    ASSERT_EQ(a, b) << "outcome diverged at step " << i;
+    ASSERT_FALSE(a.wasAux);
+    ASSERT_EQ(a.movement, b) << "outcome diverged at step " << i;
   }
   EXPECT_TRUE(fast.system().sameArrangement(reference.system()));
   EXPECT_EQ(fast.edges(), reference.edges());
   EXPECT_EQ(fast.edges(), system::countEdges(fast.system()));
-  const ChainStats& fs = fast.stats();
+  EXPECT_EQ(fast.stats().steps, steps);
+  const ChainStats& fs = fast.stats().movement;
   const ChainStats& rs = reference.stats();
   EXPECT_EQ(fs.steps, rs.steps);
   EXPECT_EQ(fs.accepted, rs.accepted);
@@ -114,16 +121,19 @@ TEST(GoldenTrajectory, RandomHoleFreeStart) {
 }
 
 TEST(GoldenTrajectory, ApplyProposalMatchesReferenceSemantics) {
-  // q < λ^{e'-e} must be evaluated with the exact same threshold the
+  // q < λ^{e'-e} must be evaluated against the exact threshold the
   // reference kernel uses, including the q-at-threshold boundary.
-  const std::vector<TriPoint> triangle{{0, 0}, {1, 0}, {0, 1}};
-  CompressionChain chain(ParticleSystem(triangle), withLambda(4.0), 1);
+  const ParticleSystem triangle(std::vector<TriPoint>{{0, 0}, {1, 0}, {0, 1}});
   // Moving the top particle East loses one neighbor: threshold 1/4.
-  EXPECT_EQ(chain.applyProposal(2, Direction::East, 0.2499999),
-            StepOutcome::Accepted);
-  CompressionChain chain2(ParticleSystem(triangle), withLambda(4.0), 1);
-  EXPECT_EQ(chain2.applyProposal(2, Direction::East, 0.25),
-            StepOutcome::RejectedFilter);
+  const std::uint8_t mask = ringMask(triangle, {0, 1}, Direction::East);
+  const MoveDecision decision = buildDecisionTable(withLambda(4.0))[mask];
+  const MoveEvaluation eval =
+      evaluateMoveSeed(triangle, {0, 1}, Direction::East);
+  ASSERT_EQ(decision.stage, kDecisionFilterStage);
+  // ReferenceKernel's threshold: std::pow(λ, e' − e), bit for bit.
+  EXPECT_EQ(decision.threshold, std::pow(4.0, eval.eAfter - eval.eBefore));
+  EXPECT_TRUE(0.2499999 < decision.threshold);
+  EXPECT_FALSE(0.25 < decision.threshold);
 }
 
 }  // namespace

@@ -15,7 +15,8 @@
 //     is a re-layering, not a new sampler), including the replica seed
 //     derivation; amoebot runs are thread-count independent;
 //  6. Runner dispatch: multi-replica runs are deterministic and
-//     thread-count independent; StopWhen ends replicas early.
+//     thread-count independent; StopWhen ends replicas early; a replica's
+//     error on a pool worker reaches the caller.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -206,6 +207,12 @@ TEST(SimRunSpec, RejectsBadReservedValues) {
   EXPECT_THROW((void)RunSpec::parse("scenario=compression steps=-5"),
                ContractViolation);
   EXPECT_THROW((void)RunSpec::parse("scenario=compression n=ten"),
+               ContractViolation);
+  // seed and seed-stride are unsigned: a negative value used to wrap to a
+  // u64 that toText() wrote and parse() then rejected.
+  EXPECT_THROW((void)RunSpec::parse("scenario=compression seed=-1"),
+               ContractViolation);
+  EXPECT_THROW((void)RunSpec::parse("scenario=compression seed-stride=-7"),
                ContractViolation);
   // threads: sign errors and typo'd huge counts (spawned as asked, not
   // clamped to cores) are rejected; the documented cap is 1024.
@@ -437,6 +444,61 @@ TEST(SimRunner, RunnerRejectsLyingScenario) {
   const RunSpec spec = RunSpec::parse("scenario=test-lying-metrics steps=1");
   Observer none;
   EXPECT_THROW((void)run(spec, none), ContractViolation);
+}
+
+/// A scenario whose replica 1 throws from advance() — on a pool worker
+/// when replicas > 1 — to pin that the one fan-out surfaces a replica's
+/// error on the caller.
+class ThrowingReplicaScenario : public Scenario {
+ public:
+  [[nodiscard]] std::string name() const override {
+    return "test-throwing-replica";
+  }
+  [[nodiscard]] std::string description() const override {
+    return "test scenario whose replica 1 throws mid-run";
+  }
+  [[nodiscard]] ParamSchema schema() const override { return {}; }
+  [[nodiscard]] std::vector<std::string> metricNames() const override {
+    return {"m"};
+  }
+  [[nodiscard]] std::unique_ptr<ScenarioRun> start(
+      const RunSpec& spec, std::uint64_t replicaSeed, unsigned) const override {
+    class Run : public ScenarioRun {
+     public:
+      explicit Run(bool throws) : throws_(throws) {}
+      void advance(std::uint64_t steps) override {
+        SOPS_REQUIRE(!throws_, "replica 1 failed");
+        done_ += steps;
+      }
+      [[nodiscard]] std::uint64_t stepsDone() const override { return done_; }
+      void sampleMetrics(std::vector<double>& out) const override {
+        out.push_back(0.0);
+      }
+      [[nodiscard]] system::ParticleSystem snapshot() const override {
+        return system::lineConfiguration(1);
+      }
+
+     private:
+      bool throws_;
+      std::uint64_t done_ = 0;
+    };
+    return std::make_unique<Run>(replicaSeed == spec.replicaSeed(1));
+  }
+};
+
+TEST(SimRunner, ReplicaErrorPropagatesFromFanOut) {
+  registerOnce(std::make_unique<ThrowingReplicaScenario>());
+  const RunSpec spec = RunSpec::parse(
+      "scenario=test-throwing-replica replicas=3 threads=2 steps=10");
+  Observer none;
+  try {
+    (void)run(spec, none);
+    FAIL() << "replica 1's error was swallowed";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("replica 1 failed"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(SimObserver, JsonlSinkEmitsNullForNonFiniteMetrics) {
