@@ -97,10 +97,11 @@ BENCHMARK(BM_EvaluateMove);
 
 void BM_EvaluateMoveReference(benchmark::State& state) {
   const system::ParticleSystem sys = system::lineConfiguration(100);
+  const core::SeedOccupancy occupied(sys);
   ProposalCycle cycle;
   for (auto _ : state) {
     const core::MoveEvaluation eval =
-        core::evaluateMoveSeed(sys, sys.position(cycle.particle),
+        core::evaluateMoveSeed(occupied, sys.position(cycle.particle),
                                lattice::kAllDirections[cycle.direction]);
     benchmark::DoNotOptimize(eval);
     cycle.advance(sys.size());
@@ -124,11 +125,12 @@ BENCHMARK(BM_RingMaskBitboard);
 
 void BM_RingMaskHash(benchmark::State& state) {
   const system::ParticleSystem sys = system::spiralConfiguration(100);
+  const core::SeedOccupancy occupied(sys);
   ProposalCycle cycle;
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::ringMaskSeed(
         sys.position(cycle.particle), lattice::kAllDirections[cycle.direction],
-        [&sys](lattice::TriPoint p) { return sys.occupiedSparse(p); }));
+        occupied));
     cycle.advance(sys.size());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));

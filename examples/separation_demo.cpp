@@ -9,6 +9,7 @@
 //   is `spps scenario=separation ...`)
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "extensions/separation.hpp"
 #include "sim/params.hpp"
@@ -27,16 +28,19 @@ std::string renderColors(const sops::extensions::SeparationChain& chain) {
       2 * static_cast<std::int64_t>(box.minX) + box.minY;
   const std::int64_t colMax =
       2 * static_cast<std::int64_t>(box.maxX) + box.maxY;
+  const auto width = static_cast<std::size_t>(colMax - colMin + 1);
+  std::vector<std::string> rows(
+      static_cast<std::size_t>(box.maxY - box.minY + 1),
+      std::string(width, ' '));
+  for (std::size_t id = 0; id < sys.size(); ++id) {
+    const lattice::TriPoint p = sys.position(id);
+    const auto col = static_cast<std::size_t>(
+        2 * static_cast<std::int64_t>(p.x) + p.y - colMin);
+    rows[static_cast<std::size_t>(box.maxY - p.y)][col] =
+        chain.colors()[id] == 0 ? 'a' : 'b';
+  }
   std::string out;
-  for (std::int32_t y = box.maxY; y >= box.minY; --y) {
-    std::string row(static_cast<std::size_t>(colMax - colMin + 1), ' ');
-    for (std::int32_t x = box.minX; x <= box.maxX; ++x) {
-      const auto id = sys.particleAt({x, y});
-      if (!id.has_value()) continue;
-      const auto col = static_cast<std::size_t>(
-          2 * static_cast<std::int64_t>(x) + y - colMin);
-      row[col] = chain.colors()[*id] == 0 ? 'a' : 'b';
-    }
+  for (const std::string& row : rows) {
     const std::size_t end = row.find_last_not_of(' ');
     out.append(row, 0, end == std::string::npos ? 0 : end + 1);
     out.push_back('\n');

@@ -26,12 +26,11 @@ AmoebotSystem::AmoebotSystem(const system::ParticleSystem& initial,
     particles_.push_back(p);
   }
   regrowPlanes();
-  idIndexDirty_ = true;  // at() builds the id index on first use
 }
 
 std::vector<TriPoint> AmoebotSystem::occupiedCells() const {
   std::vector<TriPoint> cells;
-  cells.reserve(particles_.size() + expandedCount_);
+  cells.reserve(particles_.size() + expandedCount());
   for (const Particle& p : particles_) {
     cells.push_back(p.tail);
     if (p.expanded) cells.push_back(p.head);
@@ -59,44 +58,10 @@ void AmoebotSystem::mirrorPlanes() {
   }
 }
 
-void AmoebotSystem::recountExpanded() {
+std::size_t AmoebotSystem::expandedCount() const noexcept {
   std::size_t count = 0;
-  for (const Particle& p : particles_) {
-    if (p.expanded) ++count;
-  }
-  expandedCount_ = count;
-}
-
-void AmoebotSystem::rebuildIdIndex() const {
-  occupancy_.clear();
-  occupancy_.reserve(particles_.size() * 2);
-  for (std::size_t id = 0; id < particles_.size(); ++id) {
-    const Particle& p = particles_[id];
-    occupancy_.insertOrAssign(lattice::pack(p.tail),
-                              (static_cast<std::int32_t>(id) << 1));
-    if (p.expanded) {
-      occupancy_.insertOrAssign(lattice::pack(p.head),
-                                (static_cast<std::int32_t>(id) << 1) | 1);
-    }
-  }
-  idIndexDirty_ = false;
-}
-
-void AmoebotSystem::restoreIdIndex() {
-  if (!sharded_) return;
-  sharded_ = false;
-  // The hash refresh stays lazy (at() rebuilds on demand) — a sharded
-  // burst between samples should not pay O(n) hash work nobody reads.
-  idIndexDirty_ = true;
-  recountExpanded();
-}
-
-AmoebotSystem::CellView AmoebotSystem::at(TriPoint cell) const {
-  SOPS_DASSERT(!sharded_);
-  if (idIndexDirty_) rebuildIdIndex();
-  const std::int32_t* raw = occupancy_.find(lattice::pack(cell));
-  if (raw == nullptr) return {};
-  return {*raw >> 1, (*raw & 1) != 0};
+  for (const Particle& p : particles_) count += p.expanded ? 1 : 0;
+  return count;
 }
 
 bool AmoebotSystem::expandedParticleAdjacent(TriPoint cell,
@@ -168,8 +133,6 @@ void AmoebotSystem::expand(std::size_t id, Direction d) {
   p.head = target;
   p.expanded = true;
   p.expandDir = static_cast<std::uint8_t>(index(d));
-  if (maintainCount()) ++expandedCount_;
-  noteMutation();
   // Keep every particle cell interior so unchecked gathers stay licensed.
   // Tiled planes only grow: allocating around the escape up front keeps
   // all three directories mirrored (heads_/expanded_ must cover every
@@ -197,8 +160,6 @@ void AmoebotSystem::contractToHead(std::size_t id) {
   heads_.clear(p.head);
   expanded_.clear(p.tail);
   expanded_.clear(p.head);
-  noteMutation();
-  if (maintainCount()) --expandedCount_;
   p.tail = p.head;
   p.expanded = false;
 }
@@ -211,8 +172,6 @@ void AmoebotSystem::contractBack(std::size_t id) {
   heads_.clear(p.head);
   expanded_.clear(p.tail);
   expanded_.clear(p.head);
-  noteMutation();
-  if (maintainCount()) --expandedCount_;
   p.head = p.tail;
   p.expanded = false;
 }
@@ -227,8 +186,6 @@ constexpr std::uint8_t kFlagByzantine = 1u << 4;
 }  // namespace
 
 void AmoebotSystem::saveState(system::SnapshotWriter& w) const {
-  SOPS_REQUIRE(!sharded_,
-               "saveState: only legal outside a sharded section");
   w.u64(particles_.size());
   for (const Particle& p : particles_) {
     w.i64(p.tail.x);
@@ -278,8 +235,6 @@ void AmoebotSystem::restoreState(system::SnapshotReader& r) {
   const system::GridGeometry geometry = system::readGridGeometry(r);
 
   particles_ = std::move(particles);
-  sharded_ = false;
-  recountExpanded();
   if (geometry.tiled) {
     occ_.rebuildTiledExact(occupiedCells(), geometry.tileKeys);
   } else {
@@ -287,7 +242,6 @@ void AmoebotSystem::restoreState(system::SnapshotReader& r) {
                       geometry.width, geometry.height);
   }
   mirrorPlanes();
-  idIndexDirty_ = true;  // at() rebuilds lazily, as after any mutation
 }
 
 system::ParticleSystem AmoebotSystem::tailConfiguration() const {

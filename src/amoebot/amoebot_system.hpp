@@ -31,11 +31,11 @@
 /// run on the tiled backend: all three planes share one tile directory
 /// layout (heads_/expanded_ always cover every occ_ tile), so the
 /// word-exclusive stripe discipline carries over.  The planes are the
-/// only occupancy representation.
-///
-/// The cell -> (id << 1 | isHead) hash index serves id lookups (at())
-/// only; it is rebuilt lazily and a sharded runner may suspend it during
-/// a concurrent section (see suspendIdIndex()).
+/// only occupancy representation: Algorithm A never asks which particle
+/// holds a cell, so there is no cell -> id index, and an activation writes
+/// only plane words and its own particle's state — which is what lets the
+/// sharded runner's stripe workers activate disjoint particles
+/// concurrently.
 
 #include <array>
 #include <cstdint>
@@ -48,7 +48,6 @@
 #include "system/bit_grid.hpp"
 #include "system/particle_system.hpp"
 #include "system/snapshot.hpp"
-#include "util/flat_hash.hpp"
 
 namespace sops::amoebot {
 
@@ -96,14 +95,6 @@ inline constexpr auto kPortTable = [] {
 
 class AmoebotSystem {
  public:
-  /// What a lattice cell currently holds.
-  struct CellView {
-    std::int32_t particle = kEmpty;  ///< particle id, or kEmpty
-    bool isHead = false;             ///< head of an *expanded* particle
-    static constexpr std::int32_t kEmpty = -1;
-    [[nodiscard]] bool empty() const noexcept { return particle == kEmpty; }
-  };
-
   /// Builds an all-contracted system from a configuration, assigning each
   /// particle a private random orientation and chirality.
   AmoebotSystem(const system::ParticleSystem& initial, rng::Random& rng);
@@ -113,14 +104,6 @@ class AmoebotSystem {
     SOPS_DASSERT(id < particles_.size());
     return particles_[id];
   }
-
-  /// Requires the id index to be live (it always is outside a sharded
-  /// runner's concurrent section).  The index is refreshed lazily here
-  /// rather than on every expand/contract —
-  /// activations never consult it, so the hot path pays one dirty-bit
-  /// store instead of hash mutations.  The lazy rebuild allocates, so
-  /// (unlike the seed's pure hash probe) this is not noexcept.
-  [[nodiscard]] CellView at(TriPoint cell) const;
 
   [[nodiscard]] bool occupied(TriPoint cell) const noexcept {
     return occ_.test(cell);
@@ -187,11 +170,9 @@ class AmoebotSystem {
   void markCrashed(std::size_t id) { particles_[id].crashed = true; }
   void markByzantine(std::size_t id) { particles_[id].byzantine = true; }
 
-  /// Number of currently expanded particles (diagnostics; not maintained
-  /// while the id index is suspended — restoreIdIndex() recomputes it).
-  [[nodiscard]] std::size_t expandedCount() const noexcept {
-    return expandedCount_;
-  }
+  /// Number of currently expanded particles, counted on demand
+  /// (diagnostics; O(n)).
+  [[nodiscard]] std::size_t expandedCount() const noexcept;
 
   /// Projection to the chain's state space: contracted particles at their
   /// location, expanded particles at their tails (§3.2, footnote 2).
@@ -220,62 +201,33 @@ class AmoebotSystem {
     return occ_.coversInteriorBy(tail, system::BitGrid::kInteriorMargin + 1);
   }
 
-  /// Suspends maintenance of the cell -> id hash index and of
-  /// expandedCount() so concurrent stripe workers touch only bit-plane
-  /// words and per-particle state; at() lookups are invalid until
-  /// restoreIdIndex().  A flat window that outgrows BitGrid::kMaxWords
-  /// promotes to the tiled backend (on the scheduler's single-threaded
-  /// sweep — stripe workers never trigger a regrow), and tiled
-  /// directories only grow.
-  void suspendIdIndex() noexcept { sharded_ = true; }
-
-  /// Rebuilds the id index and expandedCount() from particle state and
-  /// resumes maintenance.
-  void restoreIdIndex();
-
   // --- snapshot support (system/snapshot.hpp) ---
 
   /// Serializes every particle (cells, expansion state, private port
   /// labeling, fault flags) plus the exact occupancy-window geometry: the
   /// sharded scheduler's stripe decomposition and deferral rules are
   /// functions of it, so resume must reproduce the window verbatim rather
-  /// than re-derive it.  Only legal outside a sharded section.
+  /// than re-derive it.  Only legal between sharded runs.
   void saveState(system::SnapshotWriter& w) const;
 
   /// Inverse of saveState: replaces the particle set wholesale (the
   /// constructor's random orientation draws are overwritten), rebuilds
-  /// the planes with the snapshotted geometry, and recomputes the derived
-  /// index/counters.  A tag-0 (retired sparse regime) payload throws.
+  /// the planes with the snapshotted geometry.  A tag-0 (retired sparse
+  /// regime) payload throws, as do overlapping particle cells.
   void restoreState(system::SnapshotReader& r);
 
  private:
   std::vector<Particle> particles_;
-  /// cell -> (id << 1) | isHead, rebuilt lazily by at() when dirty.
-  mutable util::FlatMap64<std::int32_t> occupancy_;
-  mutable bool idIndexDirty_ = false;
-  std::size_t expandedCount_ = 0;
 
   system::BitGrid occ_;       ///< all occupied cells (heads + tails)
   system::BitGrid heads_;     ///< heads of expanded particles
   system::BitGrid expanded_;  ///< head and tail cells of expanded particles
-  bool sharded_ = false;  ///< between suspendIdIndex() and restoreIdIndex()
-
-  /// Bookkeeping after a mutation: mark the index stale; a sharded
-  /// section does nothing at all (restore rebuilds).
-  void noteMutation() noexcept {
-    if (!sharded_) idIndexDirty_ = true;
-  }
-  /// expandedCount_ must not be touched by concurrent stripe workers; it
-  /// is recomputed on restore.
-  [[nodiscard]] bool maintainCount() const noexcept { return !sharded_; }
 
   /// Every occupied cell: tails, plus heads of expanded particles.
   [[nodiscard]] std::vector<TriPoint> occupiedCells() const;
   void regrowPlanes();
   /// Re-derives heads_/expanded_ with occ_'s geometry from particle state.
   void mirrorPlanes();
-  void rebuildIdIndex() const;
-  void recountExpanded();
 };
 
 }  // namespace sops::amoebot

@@ -20,9 +20,10 @@
 /// A particle close enough to the window edge that an expansion could
 /// force a plane regrow (AmoebotSystem::shardSafe) is deferred to the
 /// sweep too.  Each event draws its activation coins from the particle's
-/// coin stream.  The pre-phase suspends the system's id index, which each
-/// run restores before returning.  tests/local_golden_test.cpp pins the
-/// trajectory across thread counts.
+/// coin stream.  An activation writes only plane words within distance 1
+/// of its tail and its own particle's state, so the kernel needs no
+/// pre-phase.  tests/local_golden_test.cpp pins the trajectory across
+/// thread counts.
 
 #include <cstdint>
 
@@ -53,9 +54,7 @@ class ShardedPoissonRunner {
 
   /// Runs whole epochs until at least `minActivations` activations have
   /// executed in this call (or the cancel token trips); returns the
-  /// number executed.  The id index is suspended for the duration and
-  /// restored before returning, so the system is fully consistent (at(),
-  /// expandedCount()) between calls.
+  /// number executed.
   std::uint64_t runAtLeast(std::uint64_t minActivations);
 
   /// Serializes the runner's evolving state: simulated clock, activation
@@ -106,8 +105,7 @@ class ShardedPoissonRunner {
   [[nodiscard]] bool stripeSafe(TriPoint tail) const noexcept {
     return sys_.shardSafe(tail);
   }
-  void prepareEpoch() noexcept { sys_.suspendIdIndex(); }
-  void finishRun() { sys_.restoreIdIndex(); }
+  void prepareEpoch() noexcept {}
   void runEvent(std::uint32_t i, rng::Random& coin, Tally& executed) {
     algo_.activate(sys_, i, coin);
     ++executed;

@@ -31,8 +31,7 @@
 ///   // optional: static constexpr bool kNeedsPartnerIds (default false) —
 ///   // when true the engine maintains a cell→particle-id plane
 ///   // (core/id_plane.hpp) in lockstep with accepted moves and passes it
-///   // to auxStep, so partner identity is an array load instead of a
-///   // hash probe.
+///   // to auxStep, so partner identity is one array load.
 ///
 /// For a kUniformWeight model the factor path compiles away entirely and
 /// the step body is exactly the paper's chain M: the golden tests

@@ -6,9 +6,9 @@
 /// occupancy grid.
 ///
 /// The separation scenario's auxiliary move needs the *identity* of the
-/// swap partner — the one query on the engine's accept path that still
-/// went through the hash index.  This plane answers it with a single
-/// array load: one u32 per cell, kept in lockstep with the engine's
+/// swap partner — the one query on the engine's accept path that asks
+/// which particle holds a cell (ParticleSystem keeps no cell → id map).
+/// This plane answers it with a single array load: one u32 per cell, kept in lockstep with the engine's
 /// accepted moves (BiasedChainEngine::step maintains it for models that
 /// declare kNeedsPartnerIds).
 ///

@@ -1,5 +1,6 @@
 #include "core/move_planner.hpp"
 
+#include <algorithm>
 #include <deque>
 #include <string>
 #include <unordered_map>
@@ -149,14 +150,18 @@ ParticleSystem replayPlan(const ParticleSystem& source, const MovePlan& plan,
                           const ChainOptions& options) {
   ParticleSystem sys = source;
   for (const PlannedMove& move : plan.moves) {
-    const auto particle = sys.particleAt(move.from);
-    SOPS_REQUIRE(particle.has_value(), "replayPlan: move source unoccupied");
+    const std::vector<TriPoint>& positions = sys.positions();
+    const auto particle =
+        std::find(positions.begin(), positions.end(), move.from);
+    SOPS_REQUIRE(particle != positions.end(),
+                 "replayPlan: move source unoccupied");
     const auto direction = lattice::directionBetween(move.from, move.to);
     SOPS_REQUIRE(direction.has_value(), "replayPlan: move is not one step");
     const MoveEvaluation eval = evaluateMove(sys, move.from, *direction);
     SOPS_REQUIRE(acceptanceProbability(eval, options) > 0.0,
                  "replayPlan: invalid move in plan");
-    sys.moveParticle(*particle, move.to);
+    sys.moveParticle(
+        static_cast<std::size_t>(particle - positions.begin()), move.to);
   }
   return sys;
 }

@@ -3,7 +3,8 @@
 
 /// \file reference_kernel.hpp
 /// The *frozen seed implementation* of one iteration of Algorithm M:
-/// occupancy through the sparse hash index only, ring cells recomputed
+/// occupancy through a hash set of its own (SeedOccupancy, independent of
+/// ParticleSystem's bitboard), ring cells recomputed
 /// from 60° rotations per query, properties re-derived from the ring mask
 /// per proposal, the branch ladder in paper order, and a lazily drawn
 /// Metropolis uniform.
@@ -26,11 +27,36 @@
 #include "rng/random.hpp"
 #include "system/metrics.hpp"
 #include "system/particle_system.hpp"
+#include "util/flat_hash.hpp"
 
 namespace sops::core {
 
+/// The seed's occupancy: a hash set of packed cells, built from a
+/// system's positions and kept by its owner in step with its own accepted
+/// moves.  Implicit, so a one-shot evaluateMoveSeed(sys, ...) snapshots
+/// sys's positions.
+class SeedOccupancy {
+ public:
+  SeedOccupancy(const system::ParticleSystem& sys)
+      : cells_(sys.size()) {
+    for (const TriPoint p : sys.positions()) cells_.insert(lattice::pack(p), 1);
+  }
+
+  [[nodiscard]] bool operator()(TriPoint p) const noexcept {
+    return cells_.contains(lattice::pack(p));
+  }
+
+  void move(TriPoint from, TriPoint to) {
+    cells_.erase(lattice::pack(from));
+    cells_.insert(lattice::pack(to), 1);
+  }
+
+ private:
+  util::FlatMap64<std::uint8_t> cells_;
+};
+
 /// Seed ring-mask gather: each ring cell from ringCell()'s rotation math,
-/// occupancy from the given oracle (typically occupiedSparse).
+/// occupancy from the given oracle (typically a SeedOccupancy).
 template <typename OccupiedFn>
 [[nodiscard]] std::uint8_t ringMaskSeed(TriPoint l, Direction d,
                                         OccupiedFn&& occupied) {
@@ -46,14 +72,13 @@ template <typename OccupiedFn>
 /// Seed evaluateMove: hash-probe occupancy, per-proposal property
 /// recomputation (no move table).
 [[nodiscard]] inline MoveEvaluation evaluateMoveSeed(
-    const system::ParticleSystem& sys, TriPoint l, Direction d) {
+    const SeedOccupancy& occupied, TriPoint l, Direction d) {
   MoveEvaluation eval;
-  const auto sparse = [&sys](TriPoint p) { return sys.occupiedSparse(p); };
-  if (sparse(lattice::neighbor(l, d))) {
+  if (occupied(lattice::neighbor(l, d))) {
     eval.targetOccupied = true;
     return eval;
   }
-  eval.mask = ringMaskSeed(l, d, sparse);
+  eval.mask = ringMaskSeed(l, d, occupied);
   eval.eBefore = neighborsBefore(eval.mask);
   eval.eAfter = neighborsAfter(eval.mask);
   eval.gapOk = eval.eBefore != 5;
@@ -69,7 +94,10 @@ class ReferenceKernel {
  public:
   ReferenceKernel(system::ParticleSystem initial, ChainOptions options,
                   std::uint64_t seed)
-      : system_(std::move(initial)), options_(options), rng_(seed) {
+      : system_(std::move(initial)),
+        occupied_(system_),
+        options_(options),
+        rng_(seed) {
     edges_ = system::countEdges(system_);
     for (int delta = -5; delta <= 5; ++delta) {
       lambdaPow_[delta + 5] = std::pow(options_.lambda, delta);
@@ -83,7 +111,7 @@ class ReferenceKernel {
         lattice::directionFromIndex(static_cast<int>(rng_.below(6)));
     const TriPoint l = system_.position(particle);
 
-    const MoveEvaluation eval = evaluateMoveSeed(system_, l, d);
+    const MoveEvaluation eval = evaluateMoveSeed(occupied_, l, d);
     StepOutcome outcome;
     if (eval.targetOccupied) {
       outcome = StepOutcome::TargetOccupied;
@@ -103,6 +131,7 @@ class ReferenceKernel {
       }
       if (accept) {
         system_.moveParticle(particle, lattice::neighbor(l, d));
+        occupied_.move(l, lattice::neighbor(l, d));
         edges_ += eval.eAfter - eval.eBefore;
         outcome = StepOutcome::Accepted;
       } else {
@@ -121,6 +150,7 @@ class ReferenceKernel {
 
  private:
   system::ParticleSystem system_;
+  SeedOccupancy occupied_;
   ChainOptions options_;
   rng::Random rng_;
   ChainStats stats_;

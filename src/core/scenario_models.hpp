@@ -22,7 +22,8 @@
 /// No std::pow and no hash probe runs on the accept path.  The planes
 /// follow the system's grid through both of its backends (flat window
 /// and tiled directory); tests/biased_engine_test.cpp pins the separation
-/// model to the hash-index reference chain draw for draw.
+/// model to the reference chain (extensions::SeparationChain, which keeps
+/// its own hash occupancy) draw for draw.
 
 #include <bit>
 #include <cstdint>
@@ -34,6 +35,7 @@
 #include "system/bit_grid.hpp"
 #include "system/particle_system.hpp"
 #include "system/snapshot.hpp"
+#include "util/flat_hash.hpp"
 
 namespace sops::core {
 
@@ -111,17 +113,24 @@ class ShadowPlanes {
 };
 
 /// Induced edges whose endpoints share a class — the exact hom(σ) / ali(σ)
-/// recount behind both models' observables.
+/// recount behind both models' observables.  Neighbor classes come from a
+/// cell → class map built for this one recount: O(n), where an id plane
+/// would mirror the whole occupancy window on every sample.
 [[nodiscard]] inline std::int64_t sameClassEdges(
     const system::ParticleSystem& sys, std::span<const std::uint8_t> classes) {
   constexpr Direction kPositive[3] = {Direction::East, Direction::NorthEast,
                                       Direction::SouthEast};
+  util::FlatMap64<std::uint8_t> classAt(sys.size());
+  for (std::size_t id = 0; id < sys.size(); ++id) {
+    classAt.insert(lattice::pack(sys.position(id)), classes[id]);
+  }
   std::int64_t count = 0;
   for (std::size_t id = 0; id < sys.size(); ++id) {
     const TriPoint p = sys.position(id);
     for (const Direction d : kPositive) {
-      const auto other = sys.particleAt(lattice::neighbor(p, d));
-      if (other.has_value() && classes[*other] == classes[id]) ++count;
+      const std::uint8_t* other =
+          classAt.find(lattice::pack(lattice::neighbor(p, d)));
+      if (other != nullptr && *other == classes[id]) ++count;
     }
   }
   return count;
@@ -296,8 +305,6 @@ class SeparationModel {
     if (threshold >= 1.0 || rng.uniform() < threshold) {
       SOPS_DASSERT(ids.tracksMoves(sys.grid()));
       const auto other = static_cast<std::size_t>(ids.idAtUnchecked(q));
-      // Position-based identity check: valid under the sharded runner's
-      // index suspension, where particleAt() would read a stale index.
       SOPS_DASSERT(sys.position(other) == q);
       colors_[particle] = colorQ;
       colors_[other] = colorP;

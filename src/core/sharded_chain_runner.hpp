@@ -27,10 +27,9 @@
 /// models, if the paged partner-id plane covers its neighborhood
 /// (ParticleIdPlane::coversNear) — directory growth, like window growth,
 /// belongs to the sequential pre-phase and sweep only.  The pre-phase
-/// re-attaches the model's shadow planes, syncs the id plane and suspends
-/// the ParticleSystem's cell→id hash index (the one structure every move
-/// would otherwise share); the index is restored when each run ends.
-/// Per-stripe tallies (EngineStats and the e(σ) delta) are integer sums,
+/// re-attaches the model's shadow planes and syncs the id plane; a stripe
+/// worker's accepted move then writes only its particle's position slot
+/// and plane words inside its stripe.  Per-stripe tallies (EngineStats and the e(σ) delta) are integer sums,
 /// so merging them in stripe order is exact.
 ///
 /// **Heterogeneous rates.**  ShardedChainOptions::rates gives particle i
@@ -99,9 +98,7 @@ class ShardedChainRunner {
 
   /// Runs whole epochs until at least `minEvents` chain events have
   /// executed in this call (or the cancel token trips); returns the
-  /// number executed.  The system's id index is suspended for the
-  /// duration and restored before returning, so the system is fully
-  /// consistent (particleAt()) between calls.
+  /// number executed.
   std::uint64_t runAtLeast(std::uint64_t minEvents) {
     return executor_.runAtLeast(*this, minEvents);
   }
@@ -146,10 +143,8 @@ class ShardedChainRunner {
   /// the partner-id plane's mode and (when paged) its exact page
   /// directory, since the striped deferral predicate is a function of the
   /// allocated-page set.  Only legal between runAtLeast calls (epoch
-  /// boundaries), where the index is live and no pre-draw is pending.
+  /// boundaries), where no pre-draw is pending.
   void saveState(system::SnapshotWriter& w) const {
-    SOPS_REQUIRE(!system_.indexSuspended(),
-                 "saveState: only legal between runs (index suspended)");
     system::writeParticleSystem(w, system_);
     model_.serialize(w);
     writeEngineStats(w, stats_);
@@ -230,9 +225,7 @@ class ShardedChainRunner {
   void prepareEpoch() {
     model_.attach(system_);
     if constexpr (kMaintainsIds) partnerIds_.sync(system_);
-    system_.suspendIndex();
   }
-  void finishRun() { system_.restoreIndex(); }
   void runEvent(std::uint32_t particle, rng::Random& rng, Tally& tally) {
     ++tally.stats.steps;
     bool auxMove = false;

@@ -69,7 +69,6 @@
 ///   - `anchor(i)` — the cell whose column places particle i in a stripe;
 ///   - `stripeSafe(anchor)` — the extra condition for running in a stripe;
 ///   - `prepareEpoch()` — the sequential pre-phase before each epoch;
-///   - `finishRun()` — called when every runAtLeast ends, also on unwind;
 ///   - `runEvent(i, coin, tally)` — one event of particle i;
 ///   - `mergeTally(tally)` — folds a tally in, in stripe order, then the
 ///     sweep's.
@@ -151,7 +150,7 @@ class StripeEpochExecutor {
   /// Runs whole epochs until at least `minEvents` events have executed in
   /// this call (or the cancel token trips); returns the number executed.
   std::uint64_t runAtLeast(Kernel& kernel, std::uint64_t minEvents) {
-    const RunGuard guard(*this, kernel);
+    const RunGuard guard(*this);
     std::uint64_t executed = 0;
     while (executed < minEvents || overlapPending_) {
       // A pre-drawn epoch must be consumed before stopping (its draws have
@@ -256,11 +255,10 @@ class StripeEpochExecutor {
   /// Per-run cleanup, also when an epoch throws: a pre-draw in flight
   /// must finish before unwinding (it writes the clock bank and draws_);
   /// its draws stay pending as a valid continuation for the next run.
-  /// Then the kernel restores whatever its pre-phase suspended.
   class RunGuard {
    public:
-    RunGuard(StripeEpochExecutor& executor, Kernel& kernel) noexcept
-        : executor_(executor), kernel_(kernel) {}
+    explicit RunGuard(StripeEpochExecutor& executor) noexcept
+        : executor_(executor) {}
     ~RunGuard() {
       if (executor_.overlapPending_) {
         try {
@@ -269,14 +267,12 @@ class StripeEpochExecutor {
           executor_.overlapPending_ = false;  // fill died; buffer unusable
         }
       }
-      kernel_.finishRun();
     }
     RunGuard(const RunGuard&) = delete;
     RunGuard& operator=(const RunGuard&) = delete;
 
    private:
     StripeEpochExecutor& executor_;
-    Kernel& kernel_;
   };
 
   /// Every firing time lies in the epoch window [begin, end), so the

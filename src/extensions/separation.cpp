@@ -29,6 +29,7 @@ SeparationChain::SeparationChain(system::ParticleSystem initial,
                                  std::vector<std::uint8_t> colors,
                                  SeparationOptions options, std::uint64_t seed)
     : system_(std::move(initial)),
+      ids_(system_.size()),
       colors_(std::move(colors)),
       options_(options),
       rng_(seed) {
@@ -42,6 +43,10 @@ SeparationChain::SeparationChain(system::ParticleSystem initial,
   // conserved, so the construction-time guard covers every step.
   particleCount32_ = core::checkedParticleDrawBound(system_.size());
   SOPS_REQUIRE(system::isConnected(system_), "must start connected");
+  for (std::size_t i = 0; i < system_.size(); ++i) {
+    ids_.insert(lattice::pack(system_.position(i)),
+                static_cast<std::uint32_t>(i));
+  }
 }
 
 int SeparationChain::sameColorNeighbors(TriPoint cell, std::uint8_t c,
@@ -50,8 +55,8 @@ int SeparationChain::sameColorNeighbors(TriPoint cell, std::uint8_t c,
   for (const Direction d : kAllDirections) {
     const TriPoint q = neighbor(cell, d);
     if (q == exclude) continue;
-    const auto id = system_.particleAt(q);
-    if (id.has_value() && colors_[*id] == c) ++count;
+    const std::uint32_t* id = idAt(q);
+    if (id != nullptr && colors_[*id] == c) ++count;
   }
   return count;
 }
@@ -72,6 +77,8 @@ void SeparationChain::movementStep() {
       options_, eval.eAfter - eval.eBefore, homAfter - homBefore);
   if (threshold >= 1.0 || rng_.uniform() < threshold) {
     system_.moveParticle(particle, target);
+    ids_.erase(lattice::pack(l));
+    ids_.insert(lattice::pack(target), static_cast<std::uint32_t>(particle));
     ++stats_.movesAccepted;
   }
 }
@@ -82,10 +89,11 @@ void SeparationChain::swapStep() {
       lattice::directionFromIndex(static_cast<int>(rng_.below(6)));
   const TriPoint p = system_.position(particle);
   const TriPoint q = neighbor(p, d);
-  const auto other = system_.particleAt(q);
-  if (!other.has_value()) return;
+  const std::uint32_t* found = idAt(q);
+  if (found == nullptr) return;
+  const std::uint32_t other = *found;
   const std::uint8_t colorP = colors_[particle];
-  const std::uint8_t colorQ = colors_[*other];
+  const std::uint8_t colorQ = colors_[other];
   if (colorP == colorQ) return;
 
   // Δhom from exchanging the two colors; the p—q edge stays heterochromatic.
@@ -96,7 +104,7 @@ void SeparationChain::swapStep() {
   const double threshold = separationSwapThreshold(options_, after - before);
   if (threshold >= 1.0 || rng_.uniform() < threshold) {
     colors_[particle] = colorQ;
-    colors_[*other] = colorP;
+    colors_[other] = colorP;
     ++stats_.swapsAccepted;
   }
 }
@@ -121,8 +129,8 @@ std::int64_t SeparationChain::homogeneousEdges() const {
   for (std::size_t id = 0; id < system_.size(); ++id) {
     const TriPoint p = system_.position(id);
     for (const Direction d : kPositive) {
-      const auto other = system_.particleAt(neighbor(p, d));
-      if (other.has_value() && colors_[*other] == colors_[id]) ++hom;
+      const std::uint32_t* other = idAt(neighbor(p, d));
+      if (other != nullptr && colors_[*other] == colors_[id]) ++hom;
     }
   }
   return hom;

@@ -17,8 +17,9 @@
 /// what bench_separation reproduces).
 ///
 /// This class is the *reference* implementation: every neighbor-color
-/// count goes through the hash index (particleAt) and no state beyond the
-/// color vector is cached.  The production path is the identical kernel on
+/// count goes through its own cell → id hash map, kept in step with its
+/// own accepted moves and independent of the system's bitboard, and no
+/// state beyond the color vector and that map is cached.  The production path is the identical kernel on
 /// the bitboard engine — core::SeparationEngine
 /// (core/scenario_models.hpp), draw-for-draw equal to this chain by
 /// tests/biased_engine_test.cpp and ≥3× faster (BENCH_perf.json).
@@ -29,6 +30,7 @@
 #include "core/compression_chain.hpp"
 #include "rng/random.hpp"
 #include "system/particle_system.hpp"
+#include "util/flat_hash.hpp"
 
 namespace sops::extensions {
 
@@ -90,7 +92,13 @@ class SeparationChain {
   [[nodiscard]] int sameColorNeighbors(lattice::TriPoint cell, std::uint8_t c,
                                        lattice::TriPoint exclude) const;
 
+  /// Id of the particle at `cell`, or nullptr when the cell is empty.
+  [[nodiscard]] const std::uint32_t* idAt(lattice::TriPoint cell) const {
+    return ids_.find(lattice::pack(cell));
+  }
+
   system::ParticleSystem system_;
+  util::FlatMap64<std::uint32_t> ids_;  ///< cell → particle id
   std::vector<std::uint8_t> colors_;
   SeparationOptions options_;
   rng::Random rng_;

@@ -43,7 +43,7 @@ bool BitGrid::rebuild(std::span<const TriPoint> points,
   computeDeltas(static_cast<std::int64_t>(strideWords_ * 64));
   words_.assign(static_cast<std::size_t>(strideWords * height), 0);
   ++geometryVersion_;
-  for (const TriPoint p : points) set(p);
+  for (const TriPoint p : points) setFresh(p);
   return true;
 }
 
@@ -54,7 +54,7 @@ void BitGrid::rebuildTiled(std::span<const TriPoint> points,
                "rebuildTiled: margin must cover the interior invariant");
   enterTiled();
   for (const TriPoint p : points) ensureRegion(p, margin);
-  for (const TriPoint p : points) set(p);
+  for (const TriPoint p : points) setFresh(p);
 }
 
 void BitGrid::rebuildTiledExact(std::span<const TriPoint> points,
@@ -70,8 +70,13 @@ void BitGrid::rebuildTiledExact(std::span<const TriPoint> points,
     SOPS_REQUIRE(coversInterior(p),
                  "rebuildTiledExact: point violates the interior invariant "
                  "under the given tile directory");
-    set(p);
+    setFresh(p);
   }
+}
+
+void BitGrid::setFresh(TriPoint p) {
+  SOPS_REQUIRE(!test(p), "duplicate particle position");
+  set(p);
 }
 
 void BitGrid::ensureRegion(TriPoint p, std::int64_t margin) {
@@ -171,7 +176,7 @@ void BitGrid::rebuildExact(std::span<const TriPoint> points,
   for (const TriPoint p : points) {
     SOPS_REQUIRE(coversInterior(p),
                  "rebuildExact: point violates the interior-margin invariant");
-    set(p);
+    setFresh(p);
   }
 }
 

@@ -6,9 +6,9 @@
 /// backends behind a single query API.
 ///
 /// Occupancy queries dominate every chain step (the target cell plus the
-/// 8-cell ring, ~9 per proposed move).  The open-addressing index answers
-/// each with a hash probe chain; this grid answers with a handful of
-/// integer ops and one word load — the "bitboard" of the hot path.
+/// 8-cell ring, ~9 per proposed move).  A hash set would answer each with
+/// a probe chain; this grid answers with a handful of integer ops and one
+/// word load — the "bitboard" of the hot path.
 ///
 /// **Flat backend.**  A rectangular window [originX, originX+width) ×
 /// [originY, originY+height) that ParticleSystem keeps a superset of the
@@ -352,7 +352,9 @@ class BitGrid {
   }
 
   /// Reallocates the backend to cover every point and sets exactly the
-  /// given points.  Small bounding boxes get the flat window (baseMargin
+  /// given points.  Every rebuild throws ContractViolation on a duplicate
+  /// point (its bit is already set), so the grid is the duplicate check of
+  /// every configuration built from a point list.  Small bounding boxes get the flat window (baseMargin
   /// plus a quarter of the bounding-box span of spare cells on each side,
   /// so a drifting configuration triggers only O(log drift) rebuilds) —
   /// bit-identical to the pre-tiled behavior.  Boxes whose flat window
@@ -558,6 +560,9 @@ class BitGrid {
     }
     return static_cast<std::uint8_t>(mask);
   }
+
+  /// set() for a rebuild: throws on a point already set (a duplicate).
+  void setFresh(TriPoint p);
 
   /// Allocates (or finds) tile (tx, ty); returns its slot.  Throws with
   /// the cap and the fix once the directory reaches maxTiles_.

@@ -19,35 +19,12 @@ void ParticleSystem::regrowGrid() {
 }
 
 ParticleSystem::ParticleSystem(std::span<const TriPoint> points)
-    : index_(points.size()) {
-  positions_.reserve(points.size());
-  for (const TriPoint p : points) {
-    const bool fresh = index_.insert(
-        lattice::pack(p), static_cast<std::int32_t>(positions_.size()));
-    SOPS_REQUIRE(fresh, "duplicate particle position");
-    positions_.push_back(p);
-  }
-  regrowGrid();
-}
-
-void ParticleSystem::restoreIndex() {
-  if (!indexSuspended_) return;
-  indexSuspended_ = false;
-  index_.clear();
-  for (std::size_t i = 0; i < positions_.size(); ++i) {
-    const bool fresh = index_.insert(lattice::pack(positions_[i]),
-                                     static_cast<std::int32_t>(i));
-    SOPS_DASSERT(fresh);
-    (void)fresh;
-  }
+    : positions_(points.begin(), points.end()) {
+  regrowGrid();  // throws on a duplicate point
 }
 
 std::size_t ParticleSystem::add(TriPoint p) {
-  SOPS_REQUIRE(!indexSuspended_, "add() while the id index is suspended");
-  const bool fresh =
-      index_.insert(lattice::pack(p),
-                    static_cast<std::int32_t>(positions_.size()));
-  SOPS_REQUIRE(fresh, "add() target already occupied");
+  SOPS_REQUIRE(!occupied(p), "add() target already occupied");
   positions_.push_back(p);
   if (grid_.coversInterior(p)) {
     grid_.set(p);
@@ -63,17 +40,9 @@ std::size_t ParticleSystem::add(TriPoint p) {
 }
 
 void ParticleSystem::remove(std::size_t particle) {
-  SOPS_REQUIRE(!indexSuspended_, "remove() while the id index is suspended");
   SOPS_REQUIRE(particle < positions_.size(), "remove(): bad particle id");
-  const TriPoint p = positions_[particle];
-  index_.erase(lattice::pack(p));
-  grid_.clear(p);
-  const std::size_t last = positions_.size() - 1;
-  if (particle != last) {
-    positions_[particle] = positions_[last];
-    index_.insertOrAssign(lattice::pack(positions_[particle]),
-                          static_cast<std::int32_t>(particle));
-  }
+  grid_.clear(positions_[particle]);
+  positions_[particle] = positions_.back();
   positions_.pop_back();
 }
 
@@ -82,10 +51,6 @@ void ParticleSystem::moveParticle(std::size_t particle, TriPoint to) {
   const TriPoint from = positions_[particle];
   if (from == to) return;
   SOPS_REQUIRE(!occupied(to), "moveParticle(): target occupied");
-  if (!indexSuspended_) {
-    index_.erase(lattice::pack(from));
-    index_.insert(lattice::pack(to), static_cast<std::int32_t>(particle));
-  }
   positions_[particle] = to;
   // Regrow as soon as a particle reaches the 2-cell interior margin, so
   // ring/target queries around any particle stay safely in-window for
@@ -113,22 +78,16 @@ void ParticleSystem::restoreWindowGeometry(std::int64_t originX,
                                            std::int64_t originY,
                                            std::uint64_t width,
                                            std::uint64_t height) {
-  SOPS_REQUIRE(!indexSuspended_,
-               "restoreWindowGeometry() while the id index is suspended");
   if (positions_.empty()) return;
   grid_.rebuildExact(positions_, originX, originY, width, height);
 }
 
 void ParticleSystem::restoreTiledGeometry(
     std::span<const std::uint64_t> tileKeys) {
-  SOPS_REQUIRE(!indexSuspended_,
-               "restoreTiledGeometry() while the id index is suspended");
   grid_.rebuildTiledExact(positions_, tileKeys);
 }
 
 void ParticleSystem::forceTiledForTest() {
-  SOPS_REQUIRE(!indexSuspended_,
-               "forceTiledForTest() while the id index is suspended");
   SOPS_REQUIRE(!positions_.empty(), "forceTiledForTest() needs particles");
   grid_.rebuildTiled(positions_, kGridBaseMargin);
 }

@@ -5,24 +5,24 @@
 /// A configuration of contracted particles on G∆ (paper §2.2).
 ///
 /// This is the state type of the Markov chain M: n distinct occupied lattice
-/// vertices.  It maintains three synchronized views:
+/// vertices.  It maintains two synchronized views:
 ///
 ///   - a position vector (uniform particle selection, iteration),
-///   - a dense bitboard window (BitGrid) answering occupied() with a single
-///     word load — the hot path of every chain step (~9 queries per
-///     proposed move),
-///   - a flat hash index mapping cell → particle id, which serves
-///     particleAt() and occupiedSparse() (the reference kernels' oracle).
+///   - a dense bitboard (BitGrid) answering occupied() with a single word
+///     load — the hot path of every chain step (~9 queries per proposed
+///     move) — as a flat window for small bounding boxes and as the tiled
+///     backend beyond BitGrid::kMaxWords.
 ///
-/// Occupancy has one representation: the BitGrid, as a flat window for
-/// small bounding boxes and as the tiled backend beyond BitGrid::kMaxWords.
+/// The chain's state is the set of occupied vertices, so there is no
+/// cell → id map.  The one move that needs an identity (a pair move such
+/// as separation's swap) gets it from core::ParticleIdPlane; sequential
+/// callers that need one now and then scan positions().
 ///
 /// Expanded particles exist only in the amoebot layer (S7); the chain's
 /// states consider contracted particles only, exactly as in the paper
 /// (§3.2, footnote 2).
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -30,7 +30,6 @@
 #include "lattice/tri_point.hpp"
 #include "system/bit_grid.hpp"
 #include "util/assert.hpp"
-#include "util/flat_hash.hpp"
 
 namespace sops::system {
 
@@ -42,7 +41,7 @@ class ParticleSystem {
   ParticleSystem() = default;
 
   /// Builds a system from distinct lattice points.  Throws ContractViolation
-  /// on duplicates.
+  /// on duplicates (the grid rejects a point whose bit is already set).
   explicit ParticleSystem(std::span<const TriPoint> points);
 
   [[nodiscard]] std::size_t size() const noexcept { return positions_.size(); }
@@ -62,13 +61,6 @@ class ParticleSystem {
     // out-of-window cell is unoccupied by construction; an empty system's
     // disabled grid reads as empty everywhere.
     return grid_.test(p);
-  }
-
-  /// Occupancy via the hash index only, bypassing the bitboard.  Exposed
-  /// for the reference kernels in tests/benches that measure or validate
-  /// the dense grid against an independent implementation.
-  [[nodiscard]] bool occupiedSparse(TriPoint p) const noexcept {
-    return index_.contains(lattice::pack(p));
   }
 
   /// Occupancy of a cell within graph distance 2 of some particle — the
@@ -92,16 +84,6 @@ class ParticleSystem {
     return grid_.tiled() ? "dense-tiled" : "dense-flat";
   }
 
-  /// Particle id occupying p, if any.  Invalid while the index is
-  /// suspended (see suspendIndex()).
-  [[nodiscard]] std::optional<std::size_t> particleAt(
-      TriPoint p) const noexcept {
-    SOPS_DASSERT(!indexSuspended_);
-    const std::int32_t* id = index_.find(lattice::pack(p));
-    if (id == nullptr) return std::nullopt;
-    return static_cast<std::size_t>(*id);
-  }
-
   /// Adds a particle at an unoccupied vertex; returns its id.
   std::size_t add(TriPoint p);
 
@@ -110,24 +92,11 @@ class ParticleSystem {
   void remove(std::size_t particle);
 
   /// Moves a particle to an unoccupied vertex (need not be adjacent; the
-  /// chain enforces adjacency itself).
+  /// chain enforces adjacency itself).  Concurrent workers may move
+  /// *disjoint* particles whose reads and writes touch disjoint grid words
+  /// (the sharded runners' stripe discipline): a move writes only its own
+  /// position slot and two grid bits.
   void moveParticle(std::size_t particle, TriPoint to);
-
-  /// Suspends maintenance of the cell → id hash index so that concurrent
-  /// workers may moveParticle() *disjoint* particles whose reads and
-  /// writes touch disjoint grid words (the sharded chain runner's stripe
-  /// discipline): the open-addressing index is the one structure every
-  /// move would otherwise share.  While suspended, occupancy is answered
-  /// by the dense grid alone and particleAt() must not be called.
-  void suspendIndex() noexcept { indexSuspended_ = true; }
-
-  /// Rebuilds the hash index from the position vector and resumes normal
-  /// maintenance.  Idempotent.
-  void restoreIndex();
-
-  [[nodiscard]] bool indexSuspended() const noexcept {
-    return indexSuspended_;
-  }
 
   /// Number of occupied neighbors of vertex p (0..6).  p itself does not
   /// count even if occupied.
@@ -165,8 +134,7 @@ class ParticleSystem {
   /// Snapshot-restore hook: forces the dense window to the exact geometry
   /// a snapshot recorded (the sharded runners' trajectories depend on it;
   /// regrowGrid()'s proportional margin would re-derive a different one).
-  /// An empty system keeps its disabled grid.  Must not be called while
-  /// the index is suspended.
+  /// An empty system keeps its disabled grid.
   void restoreWindowGeometry(std::int64_t originX, std::int64_t originY,
                              std::uint64_t width, std::uint64_t height);
 
@@ -188,9 +156,7 @@ class ParticleSystem {
   void regrowGrid();
 
   std::vector<TriPoint> positions_;
-  util::FlatMap64<std::int32_t> index_;
   BitGrid grid_;
-  bool indexSuspended_ = false;
 };
 
 }  // namespace sops::system

@@ -126,21 +126,27 @@ ParticleSystem perforatedBlob(std::int64_t n, std::int64_t holes,
   }
   rng.shuffle(interior);
 
-  std::vector<TriPoint> removed;
+  std::vector<std::size_t> removed;  // particle ids, in removal order
   for (const std::size_t id : interior) {
     if (static_cast<std::int64_t>(removed.size()) == holes) break;
     const TriPoint candidate = sys.position(id);
     bool adjacentToRemoved = false;
-    for (const TriPoint r : removed) {
-      adjacentToRemoved |= lattice::areAdjacent(candidate, r) || candidate == r;
+    for (const std::size_t r : removed) {
+      const TriPoint q = sys.position(r);
+      adjacentToRemoved |= lattice::areAdjacent(candidate, q) || candidate == q;
     }
     if (adjacentToRemoved) continue;
-    removed.push_back(candidate);
+    removed.push_back(id);
   }
-  for (const TriPoint r : removed) {
-    const auto id = sys.particleAt(r);
-    SOPS_REQUIRE(id.has_value(), "perforatedBlob: bookkeeping error");
-    sys.remove(*id);
+  for (std::size_t k = 0; k < removed.size(); ++k) {
+    // remove() is swap-with-last: a pending removal of the last particle
+    // follows it into the freed id.
+    const std::size_t id = removed[k];
+    const std::size_t last = sys.size() - 1;
+    sys.remove(id);
+    for (std::size_t j = k + 1; j < removed.size(); ++j) {
+      if (removed[j] == last) removed[j] = id;
+    }
   }
   // Trim any surplus from the blob boundary (non-cut cells) if we could
   // not place all requested holes.

@@ -290,8 +290,6 @@ GridGeometry readGridGeometry(SnapshotReader& r) {
 }
 
 void writeParticleSystem(SnapshotWriter& w, const ParticleSystem& sys) {
-  SOPS_REQUIRE(!sys.indexSuspended(),
-               "snapshot: cannot serialize a system with a suspended index");
   w.u64(sys.size());
   for (const TriPoint p : sys.positions()) {
     w.i64(p.x);

@@ -30,16 +30,17 @@ TEST(AmoebotSystem, InitialStateIsContracted) {
   }
 }
 
-TEST(AmoebotSystem, CellViewsTrackHeadsAndTails) {
+TEST(AmoebotSystem, ExpandOccupiesHeadAndTail) {
   AmoebotSystem sys = makeSystem({{0, 0}, {1, 0}});
   sys.expand(0, Direction::NorthEast);
-  const auto headView = sys.at({0, 1});
-  EXPECT_EQ(headView.particle, 0);
-  EXPECT_TRUE(headView.isHead);
-  const auto tailView = sys.at({0, 0});
-  EXPECT_EQ(tailView.particle, 0);
-  EXPECT_FALSE(tailView.isHead);
+  EXPECT_TRUE(sys.particle(0).expanded);
+  EXPECT_EQ(sys.particle(0).head, (TriPoint{0, 1}));
+  EXPECT_EQ(sys.particle(0).tail, (TriPoint{0, 0}));
   EXPECT_TRUE(sys.occupied({0, 1}));
+  EXPECT_TRUE(sys.occupied({0, 0}));
+  // The head is invisible to N* (step 9), the tail is not.
+  EXPECT_FALSE(sys.occupiedExcludingHeads({0, 1}, 1));
+  EXPECT_TRUE(sys.occupiedExcludingHeads({0, 0}, 1));
   EXPECT_EQ(sys.expandedCount(), 1u);
 }
 
@@ -62,7 +63,8 @@ TEST(AmoebotSystem, ContractToHeadCompletesMove) {
   EXPECT_EQ(sys.particle(0).tail, (TriPoint{0, 1}));
   EXPECT_FALSE(sys.occupied({0, 0}));
   EXPECT_TRUE(sys.occupied({0, 1}));
-  EXPECT_FALSE(sys.at({0, 1}).isHead);  // now an ordinary contracted cell
+  // Now an ordinary contracted cell, visible to N*.
+  EXPECT_TRUE(sys.occupiedExcludingHeads({0, 1}, 1));
   EXPECT_EQ(sys.expandedCount(), 0u);
 }
 

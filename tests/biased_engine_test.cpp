@@ -5,14 +5,16 @@
 //     a no-op refactor of the paper's chain M);
 //  2. the separation scenario (color bit planes + power tables) is
 //     draw-for-draw identical to the fixed extensions::SeparationChain,
-//     whose hash-index sameColorNeighbors counts independently re-derive
-//     every Δhom — on the flat window AND on the tiled backend;
+//     whose sameColorNeighbors counts on its own hash occupancy
+//     independently re-derive every Δhom — on the flat window AND on the tiled backend;
 //  3. at γ = 1 with swaps disabled, the separation scenario degenerates to
 //     the compression chain exactly (the threshold-unification pin);
 //  4. the alignment scenario preserves the movement invariants and
 //     produces the ferromagnetic phase behavior;
 //  5. the shared 32-bit particle-draw guard rejects truncating counts
-//     (regression for the SeparationChain size_t→uint32 draw bug).
+//     (regression for the SeparationChain size_t→uint32 draw bug);
+//  6. the hom(σ) / ali(σ) recounts equal a brute-force pair count on both
+//     occupancy backends.
 //
 // Replica fan-out of these engines is sim::run's (tests/sim_api_test.cpp).
 #include <gtest/gtest.h>
@@ -264,6 +266,52 @@ TEST(AlignmentEngine, PreservesInvariantsAndAligns) {
   // system near the 1/6 random-agreement baseline.
   EXPECT_GT(aliFerro, aliPara + 0.3);
   EXPECT_LT(aliPara, 0.4);
+}
+
+/// Same-class induced edges by definition: every adjacent pair, O(n²).
+std::int64_t bruteForceSameClassEdges(const ParticleSystem& sys,
+                                      const std::vector<std::uint8_t>& classes) {
+  std::int64_t count = 0;
+  for (std::size_t i = 0; i < sys.size(); ++i) {
+    for (std::size_t j = i + 1; j < sys.size(); ++j) {
+      if (classes[i] == classes[j] &&
+          lattice::areAdjacent(sys.position(i), sys.position(j))) {
+        ++count;
+      }
+    }
+  }
+  return count;
+}
+
+TEST(SameClassEdges, MatchBruteForcePairCountFlatAndTiled) {
+  // hom(σ) and ali(σ) recount from positions and classes alone; the
+  // answer must not depend on the occupancy backend.
+  AlignmentModel::Options alignment;
+  alignment.lambda = 4.0;
+  alignment.kappa = 2.0;
+  for (const bool tiled : {false, true}) {
+    SCOPED_TRACE(tiled ? "tiled" : "flat");
+    ParticleSystem start = system::lineConfiguration(60);
+    if (tiled) start.forceTiledForTest();
+    SeparationEngine separated(
+        start,
+        SeparationModel(separationOptions(4.0, 4.0), alternatingColors(60)),
+        71);
+    AlignmentEngine aligned(
+        start, AlignmentModel(alignment, cyclingOrientations(60)), 72);
+    for (int burst = 0; burst < 4; ++burst) {
+      separated.run(20000);
+      aligned.run(20000);
+      ASSERT_EQ(separated.system().grid().tiled(), tiled);
+      ASSERT_EQ(aligned.system().grid().tiled(), tiled);
+      EXPECT_EQ(separated.model().homogeneousEdges(separated.system()),
+                bruteForceSameClassEdges(separated.system(),
+                                         separated.model().colors()));
+      EXPECT_EQ(aligned.model().alignedEdges(aligned.system()),
+                bruteForceSameClassEdges(aligned.system(),
+                                         aligned.model().orientations()));
+    }
+  }
 }
 
 TEST(AlignmentEngine, CompressesUnderLargeLambda) {

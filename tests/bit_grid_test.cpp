@@ -1,8 +1,8 @@
 // Tests for the dense bitboard occupancy grid (system/bit_grid) and its
 // integration into ParticleSystem: on both backends (flat window and
-// tiled directory) every occupancy query must agree with the hash index
-// and with a naive recount from positions(), along whole chain
-// trajectories, across window regrowth, and through add()/remove().
+// tiled directory) every occupancy query must agree with a naive recount
+// from positions(), along whole chain trajectories, across window
+// regrowth, and through add()/remove().
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -106,14 +106,7 @@ TEST(BitGrid, EmptyRebuildDisables) {
 TEST(ParticleSystemGrid, DenseAndSparseAgreeOnConstruction) {
   const ParticleSystem sys = spiralConfiguration(64);
   EXPECT_TRUE(sys.grid().enabled());
-  for (const TriPoint p : sys.positions()) {
-    EXPECT_TRUE(sys.occupied(p));
-    EXPECT_TRUE(sys.occupiedSparse(p));
-    for (const auto d : lattice::kAllDirections) {
-      const TriPoint q = lattice::neighbor(p, d);
-      EXPECT_EQ(sys.occupied(q), sys.occupiedSparse(q));
-    }
-  }
+  ASSERT_NO_FATAL_FAILURE(expectQueriesMatchNaiveRecount(sys));
 }
 
 TEST(ParticleSystemGrid, MovesKeepViewsInSync) {
@@ -121,8 +114,8 @@ TEST(ParticleSystemGrid, MovesKeepViewsInSync) {
   sys.moveParticle(0, {0, 5});
   EXPECT_TRUE(sys.occupied({0, 5}));
   EXPECT_FALSE(sys.occupied({0, 0}));
-  EXPECT_EQ(sys.occupied({0, 5}), sys.occupiedSparse({0, 5}));
-  EXPECT_EQ(sys.occupied({0, 0}), sys.occupiedSparse({0, 0}));
+  EXPECT_EQ(sys.position(0), (TriPoint{0, 5}));
+  ASSERT_NO_FATAL_FAILURE(expectQueriesMatchNaiveRecount(sys));
 }
 
 TEST(ParticleSystemGrid, AddRemoveKeepViewsInSync) {
@@ -148,7 +141,7 @@ TEST(ParticleSystemGrid, AddRemoveKeepViewsInSync) {
     EXPECT_FALSE(sys.occupied({0, 0}));
     EXPECT_TRUE(sys.occupied({3000, 700}));
     EXPECT_EQ(sys.size(), 8u);
-    EXPECT_EQ(sys.particleAt({3000, 700}), std::optional<std::size_t>{0});
+    EXPECT_EQ(sys.position(0), (TriPoint{3000, 700}));
     ASSERT_NO_FATAL_FAILURE(expectQueriesMatchNaiveRecount(sys));
     while (sys.size() > 1) {
       sys.remove(sys.size() - 1);
@@ -166,7 +159,7 @@ TEST(ParticleSystemGrid, RegrowthOnEscapeKeepsAnswersExact) {
     sys.moveParticle(0, next);
     p = next;
     ASSERT_TRUE(sys.occupied(p));
-    ASSERT_EQ(sys.occupied(p), sys.occupiedSparse(p));
+    ASSERT_FALSE(sys.occupied({p.x, p.y - 1}));
   }
   EXPECT_TRUE(sys.grid().enabled());
   EXPECT_TRUE(sys.grid().covers(p));
@@ -181,12 +174,12 @@ TEST(ParticleSystemGrid, HugeBoundingBoxPromotesToTiled) {
   EXPECT_TRUE(sys.occupied({0, 0}));
   EXPECT_TRUE(sys.occupied({1 << 28, 0}));
   EXPECT_FALSE(sys.occupied({5, 5}));
-  EXPECT_EQ(sys.particleAt({1 << 28, 0}), std::optional<std::size_t>{1});
+  EXPECT_EQ(sys.position(1), (TriPoint{1 << 28, 0}));
 }
 
 TEST(ParticleSystemGrid, NeighborQueriesMatchSparseAlongTrajectory) {
   // Drive a real chain on each backend and cross-check every grid query
-  // against the hash index and a naive recount after every step.
+  // against a naive recount after every step.
   for (const Backend backend : {Backend::Flat, Backend::Tiled}) {
     SCOPED_TRACE(backendName(backend));
     ParticleSystem start = lineConfiguration(30);
@@ -198,9 +191,6 @@ TEST(ParticleSystemGrid, NeighborQueriesMatchSparseAlongTrajectory) {
     for (int step = 0; step < 8000; ++step) {
       chain.step();
       const ParticleSystem& sys = chain.system();
-      for (const TriPoint p : sys.positions()) {
-        ASSERT_TRUE(sys.occupiedSparse(p)) << "step " << step;
-      }
       ASSERT_NO_FATAL_FAILURE(expectQueriesMatchNaiveRecount(sys))
           << "step " << step;
     }

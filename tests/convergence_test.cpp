@@ -9,6 +9,7 @@
 #include "core/scenario_models.hpp"
 #include "rng/random.hpp"
 #include "system/metrics.hpp"
+#include "system/serialize.hpp"
 #include "system/shapes.hpp"
 
 namespace sops::analysis {
@@ -147,6 +148,27 @@ TEST(PerforatedBlob, PerimeterIdentityWithHoles) {
   const auto n = static_cast<std::int64_t>(sys.size());
   EXPECT_EQ(perimeter(sys),
             3 * n - countEdges(sys) - 3 + 3 * countHoles(sys));
+}
+
+TEST(PerforatedBlob, ParticleOrderMatchesRecordedText) {
+  // Pins the particle order, not just the arrangement: the hole removals
+  // are swap-with-last, so ids must be tracked through every removal.
+  rng::Random rng(13);
+  EXPECT_EQ(toText(perforatedBlob(120, 10, rng)),
+      "0,0 1,-1 1,-7 0,1 -1,1 3,-7 0,-1 1,-2 2,-2 "
+      "2,-1 2,0 1,1 0,2 -1,2 -6,0 -2,1 -2,0 -1,-1 "
+      "0,-2 1,-3 2,-3 -1,-5 3,-2 3,-1 3,0 2,1 1,2 "
+      "0,3 -1,3 -2,3 -3,3 -3,2 -3,1 -3,0 -2,-1 -3,-3 "
+      "0,-3 1,-4 2,-4 3,-4 4,-4 4,-3 -5,-1 4,-1 4,0 "
+      "3,1 2,2 -4,-2 0,4 -1,4 -2,4 -3,4 -4,4 -4,3 "
+      "-4,2 -4,1 -4,0 -3,-1 -2,-2 -1,-3 0,-4 1,-5 2,-5 "
+      "3,-5 4,-5 5,-5 5,-4 5,-3 5,-2 5,-1 5,0 4,1 "
+      "0,-6 2,3 1,4 0,5 -1,5 -2,5 -3,5 -4,5 -5,5 "
+      "-5,4 -5,3 -5,2 -5,1 -5,0 2,-7 -3,-2 -2,-3 -2,-4 "
+      "0,-5 1,-6 2,-6 3,-6 4,-6 5,-6 6,-6 6,-5 6,-4 "
+      "6,-3 6,-2 6,-1 6,0 5,1 4,2 3,3 2,4 1,5 "
+      "0,6 -1,6 -2,6 -3,6 -4,6 -5,6 -6,6 -6,5 -6,4 "
+      "-6,3 -6,2 -6,1");
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "rng/random.hpp"
 #include "system/canonical.hpp"
 #include "system/metrics.hpp"
+#include "system/serialize.hpp"
 #include "system/shapes.hpp"
 
 namespace sops::core {
@@ -43,6 +44,16 @@ TEST(MovePlanner, SpiralToLineWitnessesLemma37) {
                                           *plan);  // validates each move
   EXPECT_EQ(system::canonicalKey(final),
             system::canonicalKey(system::lineConfiguration(7)));
+}
+
+TEST(MovePlanner, ReplayKeepsParticleIdsRecordedText) {
+  // replayPlan moves the particle found at each move's source cell, so
+  // the replayed system's particle order is a function of the plan.
+  const ParticleSystem spiral = system::spiralConfiguration(7);
+  const auto plan = planToLine(spiral);
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_EQ(system::toText(replayPlan(spiral, *plan)),
+            "0,0 2,0 1,0 3,0 -3,0 -1,0 -2,0");
 }
 
 TEST(MovePlanner, RingToLineWitnessesLemma38) {

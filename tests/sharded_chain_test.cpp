@@ -79,7 +79,7 @@ RunSignature signatureOf(const ShardedChainRunner<Model>& runner) {
 }
 
 /// Runs `runner` in three bursts (crossing several epoch barriers and
-/// index suspend/restore cycles) and checks the bookkeeping invariants
+/// run boundaries) and checks the bookkeeping invariants
 /// every run must keep exactly: tracked e(σ) vs a full recount, and
 /// connectivity (every executed event is a legal move of the model).
 /// With `golden`, also pins the checksum of the saveState payload: the
@@ -201,7 +201,6 @@ TEST(ShardedChain, IdPlaneOverflowRunsStripedOnPagedPlane) {
   EXPECT_LT(runner.sweepEvents(), executed);
   EXPECT_EQ(runner.stats().steps, executed);
   EXPECT_GT(runner.stats().auxAccepted, 0u);  // swaps resolved partners
-  EXPECT_FALSE(runner.system().indexSuspended());
   EXPECT_EQ(runner.edges(), system::countEdges(runner.system()));
 }
 

@@ -12,7 +12,9 @@
 //     is rejected instead of writing past the occupancy words;
 //  5. a chain snapshot with more particles than the restoring engine or
 //     sharded runner was built for is rejected before any per-particle
-//     state is written.
+//     state is written;
+//  6. a particle list that repeats a cell is rejected by the occupancy
+//     grid, for both the chain and the amoebot system.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -189,6 +191,45 @@ TEST(SnapshotInput, WrappingWindowGeometryIsANamedError) {
       "origin out of range");
   // Control: the same payload with a sane window restores.
   EXPECT_TRUE(readSystem(flatPayload(-32, 64)).occupied({0, 0}));
+}
+
+TEST(SnapshotInput, RepeatedParticlePositionIsANamedError) {
+  SnapshotWriter w;
+  w.u64(3);
+  for (const lattice::TriPoint p :
+       {lattice::TriPoint{0, 0}, lattice::TriPoint{1, 0},
+        lattice::TriPoint{0, 0}}) {
+    w.i64(p.x);
+    w.i64(p.y);
+  }
+  w.u8(1);
+  w.i64(-32);
+  w.i64(-32);
+  w.u64(64);
+  w.u64(64);
+  expectNamedViolation([&] { (void)readSystem(w.payload()); },
+                       "duplicate particle position");
+}
+
+TEST(SnapshotInput, AmoebotOverlappingCellsAreANamedError) {
+  rng::Random ctor(5);
+  AmoebotSystem sys(system::lineConfiguration(2), ctor);
+  SnapshotWriter w;
+  w.u64(2);
+  for (int particle = 0; particle < 2; ++particle) {
+    for (int coord = 0; coord < 4; ++coord) w.i64(0);  // tail = head = 0,0
+    w.u8(0);  // contracted, no flags
+    w.u8(0);
+    w.u8(0);
+  }
+  w.u8(1);
+  w.i64(-32);
+  w.i64(-32);
+  w.u64(64);
+  w.u64(64);
+  SnapshotReader r(w.payload());
+  expectNamedViolation([&] { sys.restoreState(r); },
+                       "duplicate particle position");
 }
 
 TEST(SnapshotInput, AmoebotCoordinateOutsideInt32IsANamedError) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "rng/random.hpp"
@@ -27,8 +28,8 @@ TEST(ParticleSystem, ConstructionAndOccupancy) {
   EXPECT_TRUE(sys.occupied({0, 0}));
   EXPECT_TRUE(sys.occupied({1, 0}));
   EXPECT_FALSE(sys.occupied({1, 1}));
-  EXPECT_EQ(sys.particleAt({1, 0}), std::optional<std::size_t>(1));
-  EXPECT_EQ(sys.particleAt({5, 5}), std::nullopt);
+  EXPECT_EQ(sys.position(1), (TriPoint{1, 0}));
+  EXPECT_FALSE(sys.occupied({5, 5}));
 }
 
 TEST(ParticleSystem, DuplicatePositionsRejected) {
@@ -36,12 +37,43 @@ TEST(ParticleSystem, DuplicatePositionsRejected) {
   EXPECT_THROW(ParticleSystem{dup}, ContractViolation);
 }
 
+/// Runs `build` and expects a ContractViolation whose message names
+/// `fragment`.
+template <typename Build>
+void expectNamedViolation(Build&& build, const std::string& fragment) {
+  try {
+    build();
+    ADD_FAILURE() << "expected a ContractViolation naming '" << fragment
+                  << "'";
+  } catch (const ContractViolation& error) {
+    EXPECT_NE(std::string(error.what()).find(fragment), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(ParticleSystem, DuplicatePositionsAreNamedOnEveryPath) {
+  // The occupancy grid is the duplicate check: a point whose bit is
+  // already set is rejected on the flat window and on the tiled backend.
+  const std::vector<TriPoint> flat{{0, 0}, {1, 0}, {0, 0}};
+  expectNamedViolation([&] { (void)ParticleSystem(flat); },
+                       "duplicate particle position");
+  // Far enough apart to force the tiled backend.
+  const std::vector<TriPoint> tiled{{0, 0}, {1 << 28, 0}, {0, 0}};
+  expectNamedViolation([&] { (void)ParticleSystem(tiled); },
+                       "duplicate particle position");
+  expectNamedViolation([] { (void)fromText("0,0 1,0 0,0"); },
+                       "duplicate particle position");
+  ParticleSystem sys = makeTriangle();
+  expectNamedViolation([&] { sys.add({1, 0}); }, "already occupied");
+  EXPECT_EQ(sys.size(), 3u);  // the failed add left the system unchanged
+}
+
 TEST(ParticleSystem, MoveParticleUpdatesIndex) {
   ParticleSystem sys = makeTriangle();
   sys.moveParticle(2, {1, 1});
   EXPECT_FALSE(sys.occupied({0, 1}));
   EXPECT_TRUE(sys.occupied({1, 1}));
-  EXPECT_EQ(sys.particleAt({1, 1}), std::optional<std::size_t>(2));
+  EXPECT_EQ(sys.position(2), (TriPoint{1, 1}));
 }
 
 TEST(ParticleSystem, MoveOntoOccupiedThrows) {
@@ -66,10 +98,9 @@ TEST(ParticleSystem, RemoveSwapsLastParticle) {
   EXPECT_FALSE(sys.occupied({0, 0}));
   EXPECT_TRUE(sys.occupied({1, 0}));
   EXPECT_TRUE(sys.occupied({0, 1}));
-  // The swapped particle's index entry must be consistent.
-  const auto at = sys.particleAt({0, 1});
-  ASSERT_TRUE(at.has_value());
-  EXPECT_EQ(sys.position(*at), (TriPoint{0, 1}));
+  // The last particle takes over the removed id.
+  EXPECT_EQ(sys.position(0), (TriPoint{0, 1}));
+  EXPECT_EQ(sys.position(1), (TriPoint{1, 0}));
 }
 
 TEST(ParticleSystem, NeighborCountAndMask) {

@@ -292,11 +292,13 @@ struct ShardedSignature {
   }
 };
 
-ShardedSignature signatureOf(
-    const core::ShardedChainRunner<SeparationModel>& runner) {
+template <typename Model>
+ShardedSignature signatureOf(const core::ShardedChainRunner<Model>& runner) {
   ShardedSignature sig;
   sig.positions = runner.system().positions();
-  sig.colors = runner.model().colors();
+  if constexpr (requires { runner.model().colors(); }) {
+    sig.colors = runner.model().colors();
+  }
   sig.edges = runner.edges();
   sig.steps = runner.stats().steps;
   sig.accepted = runner.stats().movement.accepted;
@@ -336,6 +338,37 @@ TEST(TiledTrajectory, ShardedTiledIndependentOfThreadCount) {
   }
 }
 
+TEST(TiledTrajectory, ShardedCompressionTiledIndependentOfThreadCount) {
+  // Compression keeps no id plane, so on the tiled backend its stripe
+  // workers call ParticleSystem::moveParticle concurrently with only the
+  // stripe discipline keeping them apart.  A line at y = 0 also sits on a
+  // tile-row seam for its whole length.
+  core::ChainOptions options;
+  options.lambda = 4.0;
+  std::vector<ShardedSignature> signatures;
+  for (const unsigned threads : {1u, 2u, 7u}) {
+    ParticleSystem start = system::lineConfiguration(2000);
+    start.forceTiledForTest();
+    core::ShardedChainOptions sharded;
+    sharded.threads = threads;
+    core::ShardedChainRunner<core::CompressionModel> runner(
+        std::move(start), core::CompressionModel(options), 4111, sharded);
+    ASSERT_TRUE(runner.system().grid().tiled());
+    runner.runAtLeast(60000);
+    EXPECT_LT(runner.sweepEvents(), runner.stats().steps);  // striped ran
+    EXPECT_EQ(runner.edges(), system::countEdges(runner.system()));
+    signatures.push_back(signatureOf(runner));
+    // Cross-commit golden: trajectory and snapshot byte layout.
+    system::SnapshotWriter w;
+    runner.saveState(w);
+    EXPECT_EQ(system::snapshotChecksum(w.payload()), 0x3b961f1f2d12782bull)
+        << threads;
+  }
+  for (std::size_t i = 1; i < signatures.size(); ++i) {
+    EXPECT_TRUE(signatures[i] == signatures[0]) << "thread count #" << i;
+  }
+}
+
 TEST(TiledTrajectory, Line300kRunsDenseTiledStriped) {
   // The headline size from the window-caps roadmap item: 300k particles in
   // a line (flat window far over the cap) must run dense-tiled and
@@ -354,7 +387,6 @@ TEST(TiledTrajectory, Line300kRunsDenseTiledStriped) {
   const std::uint64_t executed = runner.runAtLeast(20000);
   EXPECT_GT(executed, 0u);
   EXPECT_LT(runner.sweepEvents(), executed);
-  EXPECT_FALSE(runner.system().indexSuspended());
 }
 
 TEST(TiledTrajectory, AmoebotShardedTiledIndependentOfThreadCount) {
