@@ -28,10 +28,11 @@ AmoebotSystem::AmoebotSystem(const system::ParticleSystem& initial,
   regrowPlanes();
 }
 
-std::vector<TriPoint> AmoebotSystem::occupiedCells() const {
+std::vector<TriPoint> AmoebotSystem::occupiedCells(
+    std::span<const Particle> particles) {
   std::vector<TriPoint> cells;
-  cells.reserve(particles_.size() + expandedCount());
-  for (const Particle& p : particles_) {
+  cells.reserve(2 * particles.size());
+  for (const Particle& p : particles) {
     cells.push_back(p.tail);
     if (p.expanded) cells.push_back(p.head);
   }
@@ -41,7 +42,8 @@ std::vector<TriPoint> AmoebotSystem::occupiedCells() const {
 void AmoebotSystem::regrowPlanes() {
   // rebuild() promotes oversized bounding boxes to the tiled backend, so
   // it only fails on an empty cell set — excluded by the constructor.
-  const bool built = occ_.rebuild(occupiedCells(), kPlaneBaseMargin);
+  const bool built =
+      occ_.rebuild(occupiedCells(particles_), kPlaneBaseMargin);
   SOPS_DASSERT(built);
   (void)built;
   mirrorPlanes();
@@ -234,13 +236,18 @@ void AmoebotSystem::restoreState(system::SnapshotReader& r) {
   }
   const system::GridGeometry geometry = system::readGridGeometry(r);
 
-  particles_ = std::move(particles);
+  // Build the occupancy plane aside: rebuildExact throws on overlapping
+  // cells or a cell outside the interior, and a throw must leave this
+  // system exactly as it was.
+  system::BitGrid occ;
   if (geometry.tiled) {
-    occ_.rebuildTiledExact(occupiedCells(), geometry.tileKeys);
+    occ.rebuildTiledExact(occupiedCells(particles), geometry.tileKeys);
   } else {
-    occ_.rebuildExact(occupiedCells(), geometry.originX, geometry.originY,
-                      geometry.width, geometry.height);
+    occ.rebuildExact(occupiedCells(particles), geometry.originX,
+                     geometry.originY, geometry.width, geometry.height);
   }
+  particles_ = std::move(particles);
+  occ_ = std::move(occ);
   mirrorPlanes();
 }
 

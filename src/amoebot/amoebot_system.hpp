@@ -39,6 +39,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -213,7 +214,8 @@ class AmoebotSystem {
   /// Inverse of saveState: replaces the particle set wholesale (the
   /// constructor's random orientation draws are overwritten), rebuilds
   /// the planes with the snapshotted geometry.  A tag-0 (retired sparse
-  /// regime) payload throws, as do overlapping particle cells.
+  /// regime) payload throws, as do overlapping particle cells; a throw
+  /// leaves the system unchanged.
   void restoreState(system::SnapshotReader& r);
 
  private:
@@ -223,8 +225,9 @@ class AmoebotSystem {
   system::BitGrid heads_;     ///< heads of expanded particles
   system::BitGrid expanded_;  ///< head and tail cells of expanded particles
 
-  /// Every occupied cell: tails, plus heads of expanded particles.
-  [[nodiscard]] std::vector<TriPoint> occupiedCells() const;
+  /// Every cell of `particles`: tails, plus heads of expanded particles.
+  [[nodiscard]] static std::vector<TriPoint> occupiedCells(
+      std::span<const Particle> particles);
   void regrowPlanes();
   /// Re-derives heads_/expanded_ with occ_'s geometry from particle state.
   void mirrorPlanes();

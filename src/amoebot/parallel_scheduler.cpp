@@ -18,6 +18,7 @@ void ShardedPoissonRunner::saveState(system::SnapshotWriter& w) const {
 }
 
 void ShardedPoissonRunner::restoreState(system::SnapshotReader& r) {
+  core::requireStripeEpochFrame(r);
   const double now = r.f64();
   totalActivations_ = r.u64();
   executor_.restoreState(r, now, sys_.size());

@@ -12,15 +12,15 @@
 /// schedule could have produced.  This runner exploits that:
 ///
 /// **Kernel.**  The runner is the kernel of the stripe epoch executor
-/// (core/stripe_epoch_executor.hpp), which owns the Poisson clocks, the
-/// 64-column stripes, halo deferral, adaptive epochs and the draw/sweep
-/// overlap.  An activation of a particle at tail ℓ reads cells within
-/// lattice distance 2 of ℓ and writes within distance 1 (|Δx| ≤ distance
-/// on G∆'s axial x), so the halo is 2 columns and the anchor is the tail.
-/// A particle close enough to the window edge that an expansion could
-/// force a plane regrow (AmoebotSystem::shardSafe) is deferred to the
-/// sweep too.  Each event draws its activation coins from the particle's
-/// coin stream.  An activation writes only plane words within distance 1
+/// (core/stripe_epoch_executor.hpp), which owns the superposed Poisson
+/// clocks, the 64-column stripes, halo deferral and adaptive epochs.  An
+/// activation of a particle at tail ℓ reads cells within lattice distance
+/// 2 of ℓ and writes within distance 1 (|Δx| ≤ distance on G∆'s axial x),
+/// so the halo is 2 columns and the anchor is the tail.  A particle close
+/// enough to the window edge that an expansion could force a plane regrow
+/// (AmoebotSystem::shardSafe) is deferred to the sweep too.  Each event
+/// draws its activation coins from the stream of the stripe (or sweep)
+/// that runs it.  An activation writes only plane words within distance 1
 /// of its tail and its own particle's state, so the kernel needs no
 /// pre-phase.  tests/local_golden_test.cpp pins the trajectory across
 /// thread counts.
@@ -59,7 +59,7 @@ class ShardedPoissonRunner {
 
   /// Serializes the runner's evolving state: simulated clock, activation
   /// tally, then the executor's schedule state (sweep tally, epoch target,
-  /// every particle's pending event time and both stream states).  The
+  /// epoch index — 40 bytes in all, whatever the particle count).  The
   /// system itself is serialized separately (AmoebotSystem::saveState);
   /// rates and epoch bounds come from the constructor.  Only legal between
   /// runs (epoch boundaries).
@@ -67,7 +67,8 @@ class ShardedPoissonRunner {
 
   /// Inverse of saveState on a runner constructed with the same
   /// (sys, algo, seed, options); continues the trajectory exactly, at any
-  /// thread count.
+  /// thread count.  Frames before v4 are rejected
+  /// (core::requireStripeEpochFrame).
   void restoreState(system::SnapshotReader& r);
 
   [[nodiscard]] double now() const noexcept { return executor_.now(); }

@@ -154,7 +154,8 @@ template <typename Model>
 /// One chain event, given the already-hoisted draws: the move body shared
 /// verbatim by BiasedChainEngine::step() (which selects the particle
 /// uniformly from its single RNG) and ShardedChainRunner (which selects it
-/// by Poisson clock and draws from the particle's private coin stream).
+/// by its stripe's superposed Poisson clock and draws from that stripe's
+/// stream).
 /// Updates system/model/ids, adds an accepted movement's e-delta to
 /// `edges`, and draws the Metropolis uniform lazily from `rng`.  Outcome
 /// accounting is left to the caller so stripe workers can tally locally.

@@ -4,8 +4,8 @@
 /// \file sharded_chain_runner.hpp
 /// Multi-core single-replica execution of the biased chain: the weight
 /// models of core::BiasedChainEngine run as the kernel of the stripe epoch
-/// executor (core/stripe_epoch_executor.hpp), which owns the clocks, the
-/// stripes, halo deferral, adaptive epochs and the draw/sweep overlap.
+/// executor (core/stripe_epoch_executor.hpp), which owns the superposed
+/// clocks, the stripes, halo deferral and adaptive epochs.
 ///
 /// The chain M activates one particle per step, which pins a replica to
 /// one core no matter how large n grows.  Poissonization breaks the
@@ -14,7 +14,7 @@
 /// exactly one Metropolis proposal of the engine's weight model, and the
 /// per-event body is the *same* chainEventStep() the sequential engine
 /// runs, drawing (aux coin, direction/orientation, Metropolis uniform)
-/// from the particle's coin stream.
+/// from the stream of the stripe (or sweep) that runs the event.
 ///
 /// **Kernel.**  One event of a particle at column c reads within
 /// Model::kInteractionRadius columns of c and writes within radius − 1, so
@@ -36,7 +36,7 @@
 /// activation rate rate_i > 0 (empty = all 1.0, the paper's uniform
 /// chain).  Each accepted move's reverse is proposed by the *same*
 /// particle's clock (movement: the moved particle; swap and rotation:
-/// per-particle coins pair i with i), so the Metropolis ratio — and with
+/// the event's coins pair i with i), so the Metropolis ratio — and with
 /// it the stationary distribution π — is unchanged by the rates; only
 /// the selection frequencies shift.  tests/sharded_chain_test.cpp checks
 /// this against exact π by chi-square at n = 4 and 5.
@@ -139,11 +139,10 @@ class ShardedChainRunner {
   /// geometry (the stripe decomposition and halo/edge deferral rules are
   /// functions of it — a re-derived window would change the trajectory),
   /// model aux state, tallies, the simulated clock, then the executor's
-  /// schedule state (StripeEpochExecutor::saveState), then — snapshot v3 —
-  /// the partner-id plane's mode and (when paged) its exact page
-  /// directory, since the striped deferral predicate is a function of the
-  /// allocated-page set.  Only legal between runAtLeast calls (epoch
-  /// boundaries), where no pre-draw is pending.
+  /// schedule state (StripeEpochExecutor::saveState), then the partner-id
+  /// plane's mode and (when paged) its exact page directory, since the
+  /// striped deferral predicate is a function of the allocated-page set.
+  /// Only legal between runAtLeast calls (epoch boundaries).
   void saveState(system::SnapshotWriter& w) const {
     system::writeParticleSystem(w, system_);
     model_.serialize(w);
@@ -159,7 +158,9 @@ class ShardedChainRunner {
   /// decision table, rates, and the derived planes come from the
   /// constructor; everything history-dependent is restored, so the runner
   /// continues the snapshotted trajectory exactly (at any thread count).
+  /// Frames before v4 are rejected (requireStripeEpochFrame).
   void restoreState(system::SnapshotReader& r) {
+    requireStripeEpochFrame(r);
     system_ = system::readParticleSystem(r);
     model_.deserialize(r);
     stats_ = readEngineStats(r);
@@ -167,20 +168,8 @@ class ShardedChainRunner {
     const double now = r.f64();
     executor_.restoreState(r, now, system_.size());
     model_.attach(system_);
-    if constexpr (kMaintainsIds) {
-      if (r.version() >= 3) {
-        // v3 records the plane's mode (and the exact page directory when
-        // paged — restoreState rebuilds it key for key).
-        partnerIds_.restoreState(r, system_);
-      } else {
-        // v2 snapshots predate the paged plane, so the plane was flat; a
-        // fresh rebuild is exact there.  The restored window geometry can
-        // equal the stale fingerprint, so a plain sync() would keep
-        // pre-restore ids.
-        partnerIds_.invalidate();
-        partnerIds_.sync(system_);
-      }
-    }
+    // The plane's mode and exact page directory, restored key for key.
+    if constexpr (kMaintainsIds) partnerIds_.restoreState(r, system_);
     SOPS_REQUIRE(system::countEdges(system_) == edges_,
                  "snapshot: restored edge count disagrees with the "
                  "configuration — corrupt or mismatched snapshot");

@@ -9,17 +9,24 @@
 /// schedule and differ only in what one event does.  This header owns the
 /// shared part; a runner supplies the rest as the `Kernel` parameter.
 ///
-/// **Clocks and coins.**  Each particle owns two decorrelated RNG streams
-/// seeded once from the master seed (rng::particleStream — mix64 of
-/// (seed, 2i+1) and (seed, 2i+2)): one drives its exponential waiting
-/// times, one its per-event draws.  The streams live in SoA banks
-/// (rng/stream_bank.hpp), and the clock bank draws a whole epoch's firing
-/// times in one batched sequential pass (PoissonClockBank::fillEpoch).
-/// Every draw is a pure function of (seed, particle, draw index) — never of
+/// **Clocks by superposition.**  Algorithm A gives every particle an
+/// independent Poisson clock of rate rate_i (1 by default).  The executor
+/// fixes each particle's stripe at the start of an epoch (bucket()), and
+/// the union of the clocks of a fixed set P is one Poisson clock of rate
+/// Σ_{i∈P} rate_i whose rings land on i with probability rate_i / Σ — so
+/// each stripe s draws its own events directly, in time order: exponential
+/// gaps at rate |P_s|·r_max(s), a uniform member of P_s per ring, thinned
+/// with probability rate_i / r_max(s) (no thinning draw when all rates are
+/// equal, so explicit all-ones rates run the same trajectory as the
+/// default).  Memorylessness makes restarting every stripe at each epoch
+/// boundary exact.  A stripe's gaps, member picks, thinning coins and its
+/// interior events' own draws all come from one stream,
+/// rng::epochStream(seed, epoch index, stripe key); the deferred sweep
+/// draws its events' coins from one more stream per epoch.  Every draw is
+/// a pure function of (seed, epoch, stripe key, draw index) — never of
 /// thread interleaving — which, with the deterministic stripe and halo
 /// rules below, makes the trajectory a pure function of the seed at every
-/// thread count.  The embedded jump chain selects particle i with
-/// probability rate_i / Σ rates (uniform when all rates are 1).
+/// thread count.  The executor keeps no per-particle clock or RNG state.
 ///
 /// **Stripes.**  The occupancy window is cut into vertical stripes of 64
 /// lattice columns — exactly the bit planes' 64-bit word columns, so no two
@@ -28,8 +35,8 @@
 /// in-stripe interior band [halo, 64 − halo) reads and writes only inside
 /// its stripe, where `halo` is the kernel's interaction reach in columns.
 /// Interior events of different stripes therefore commute, and each stripe
-/// runs its own events sequentially in (time, particle) order on a worker
-/// of core::parallelForIndex.
+/// runs its own events sequentially, in the time order it draws them, on a
+/// worker of core::parallelForIndex.
 ///
 /// **Halo deferral.**  Events of particles in a halo band, or failing the
 /// kernel's own safety predicate (too close to the window edge for a
@@ -44,15 +51,12 @@
 /// once with the epoch bucket sort; a per-stripe merge cascade would go
 /// quadratic on wide tiled windows with thousands of active stripes.
 ///
-/// **Epoch sizing and overlap.**  Epoch length Δ = target / Σ rates.  An
-/// explicit targetEventsPerEpoch fixes the target; the default adapts it
-/// each epoch from the deferred-event fraction (core/epoch_control.hpp — a
-/// thread-count-invariant signal).  The next epoch's target is decided
-/// before the sweep, so the next batched fill can run on a persistent
-/// helper thread (core::OverlapWorker) while the coordinating thread
-/// sweeps: fillEpoch reads only the clock bank, which no event touches.
-/// The helper is off at threads == 1, which therefore runs strictly
-/// single-threaded.  Trajectories are identical with and without it.
+/// **Epoch sizing.**  Epoch length Δ = target / Σ rates.  An explicit
+/// targetEventsPerEpoch fixes the target; the default adapts it each
+/// epoch from the deferred-event fraction (core/epoch_control.hpp — a
+/// thread-count-invariant signal).  Nothing is drawn ahead of an epoch,
+/// so every epoch boundary is a complete state: the sweep count, the
+/// target and the epoch index (plus the runner's clock).
 ///
 /// **Tiled windows.**  Tile columns are 64-aligned, so the same stripes
 /// apply, but the allocated-tile bounding box can span astronomically many
@@ -69,23 +73,22 @@
 ///   - `anchor(i)` — the cell whose column places particle i in a stripe;
 ///   - `stripeSafe(anchor)` — the extra condition for running in a stripe;
 ///   - `prepareEpoch()` — the sequential pre-phase before each epoch;
-///   - `runEvent(i, coin, tally)` — one event of particle i;
+///   - `runEvent(i, coin, tally)` — one event of particle i, drawing from
+///     `coin` (the stripe's or the sweep's stream);
 ///   - `mergeTally(tally)` — folds a tally in, in stripe order, then the
 ///     sweep's.
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/cancel.hpp"
 #include "core/ensemble.hpp"
 #include "core/epoch_control.hpp"
-#include "core/overlap_worker.hpp"
 #include "lattice/tri_point.hpp"
 #include "rng/random.hpp"
-#include "rng/stream_bank.hpp"
 #include "system/bit_grid.hpp"
 #include "system/snapshot.hpp"
 #include "util/assert.hpp"
@@ -98,9 +101,8 @@ namespace sops::core {
 /// amoebot::ShardedOptions are aliases).
 struct StripeEpochOptions {
   /// Worker threads for the stripe phase; 0 uses hardware_concurrency().
-  /// The trajectory is identical for every value.  threads == 1 also
-  /// disables the draw/sweep overlap helper, so it runs strictly
-  /// single-threaded.
+  /// The trajectory is identical for every value; threads == 1 runs
+  /// strictly single-threaded.
   unsigned threads = 0;
   /// Expected events per epoch (sets Δ = target / Σ rates); 0 derives
   /// min(max(2n, 1024), 2^28) and lets the adaptive controller move it.
@@ -115,30 +117,57 @@ struct StripeEpochOptions {
   std::vector<double> rates;
 };
 
+/// Rejects a sharded-runner snapshot framed before
+/// system::kMinShardedSnapshotVersion, whose per-particle clock and coin
+/// streams this executor no longer has.  Both runners call it before they
+/// read anything.
+inline void requireStripeEpochFrame(const system::SnapshotReader& r) {
+  SOPS_REQUIRE(r.version() >= system::kMinShardedSnapshotVersion,
+               "snapshot: sharded-runner frame v" +
+                   std::to_string(r.version()) + " predates v" +
+                   std::to_string(system::kMinShardedSnapshotVersion) +
+                   ", which replaced per-particle clocks with per-epoch "
+                   "stripe streams; it cannot be resumed");
+}
+
 template <typename Kernel>
 class StripeEpochExecutor {
  public:
   StripeEpochExecutor(std::uint64_t seed, std::size_t particles,
                       const StripeEpochOptions& options)
-      : threads_(options.threads),
+      : seed_(seed),
+        particles_(particles),
+        threads_(options.threads),
         adaptive_(options.targetEventsPerEpoch == 0 && options.adaptiveEpochs),
-        controller_(particles) {
+        controller_(particles),
+        rates_(options.rates) {
     SOPS_REQUIRE(particles > 0, "sharded runner needs particles");
     SOPS_REQUIRE(particles <= std::numeric_limits<std::uint32_t>::max(),
                  "sharded runner: particle ids are 32-bit");
-    // One epoch's schedule lives in memory (~16 bytes/event); an explicit
-    // target beyond the cap can only be a mis-keyed step count.
+    // One epoch's deferred schedule lives in memory (~16 bytes/event); an
+    // explicit target beyond the cap can only be a mis-keyed step count.
     SOPS_REQUIRE(options.targetEventsPerEpoch <= kMaxEventsPerEpoch,
                  "targetEventsPerEpoch must be at most 2^28");
-    SOPS_REQUIRE(options.rates.empty() || options.rates.size() == particles,
+    SOPS_REQUIRE(rates_.empty() || rates_.size() == particles,
                  "rates must be empty or give one rate per particle");
+    double total = 0.0;
+    for (const double rate : rates_) {
+      SOPS_REQUIRE(rate > 0.0, "activation rates must be positive");
+      total += rate;
+    }
+    if (!rates_.empty() &&
+        std::all_of(rates_.begin(), rates_.end(),
+                    [&](double rate) { return rate == rates_.front(); })) {
+      uniformRate_ = rates_.front();
+      rates_.clear();
+    }
+    totalRate_ = rates_.empty()
+                     ? uniformRate_ * static_cast<double>(particles)
+                     : total;
     epochTarget_ = options.targetEventsPerEpoch != 0
                        ? options.targetEventsPerEpoch
                        : derivedEpochTarget(particles);
-    // The clock bank also draws each particle's first firing time.
-    clock_ = rng::PoissonClockBank(seed, particles, 1, options.rates);
-    coin_ = rng::StreamBank(seed, particles, 2);
-    epochLength_ = static_cast<double>(epochTarget_) / clock_.totalRate();
+    epochLength_ = static_cast<double>(epochTarget_) / totalRate_;
   }
 
   /// Installs a cooperative cancel token polled between epochs: once it
@@ -150,14 +179,9 @@ class StripeEpochExecutor {
   /// Runs whole epochs until at least `minEvents` events have executed in
   /// this call (or the cancel token trips); returns the number executed.
   std::uint64_t runAtLeast(Kernel& kernel, std::uint64_t minEvents) {
-    const RunGuard guard(*this);
     std::uint64_t executed = 0;
-    while (executed < minEvents || overlapPending_) {
-      // A pre-drawn epoch must be consumed before stopping (its draws have
-      // already advanced the clock bank), so a cancel with a fill in flight
-      // runs exactly one more epoch — which also skips the next pre-draw.
-      if (isCancelled(cancel_) && !overlapPending_) break;
-      executed += runEpoch(kernel, executed, minEvents);
+    while (executed < minEvents && !isCancelled(cancel_)) {
+      executed += runEpoch(kernel);
     }
     return executed;
   }
@@ -175,62 +199,51 @@ class StripeEpochExecutor {
   }
 
   /// Writes the schedule state after the runner's own prefix: sweep count,
-  /// epoch target (history-dependent under the adaptive controller), and
-  /// per particle its next firing time plus both streams' engine words
-  /// (the banks' master seed and the rates come from the constructor).
-  /// The runner writes now() itself, within its prefix.
+  /// epoch target (history-dependent under the adaptive controller) and
+  /// epoch index — a fixed 24 bytes, whatever the particle count.  The
+  /// master seed and the rates come from the constructor; the runner
+  /// writes now() itself, within its prefix.
   void saveState(system::SnapshotWriter& w) const {
-    SOPS_REQUIRE(!overlapPending_,
-                 "saveState: overlap pre-draw still pending (only legal "
-                 "between runs)");
     w.u64(sweepEvents_);
     w.u64(epochTarget_);
-    w.u64(clock_.size());
-    for (std::size_t i = 0; i < clock_.size(); ++i) {
-      w.f64(clock_.nextTime(i));
-      system::writeEngineState(w, clock_.state(i));
-      system::writeEngineState(w, coin_.state(i));
-    }
+    w.u64(epoch_);
   }
 
   /// Inverse of saveState on an executor built with the same seed and
   /// options; `now` is the clock the runner read from its prefix, and
-  /// `particles` the particle count of the restored system.  The stream
-  /// count must match both the banks and that system.
+  /// `particles` the particle count of the restored system, which must be
+  /// the count this executor was built for.
   void restoreState(system::SnapshotReader& r, double now,
                     std::size_t particles) {
-    SOPS_REQUIRE(!overlapPending_,
-                 "restoreState: overlap pre-draw still pending");
-    now_ = now;
-    sweepEvents_ = r.u64();
+    SOPS_REQUIRE(particles == particles_,
+                 "snapshot: restored particle count does not match the "
+                 "particle count the runner was built for");
+    const std::uint64_t sweepEvents = r.u64();
     const std::uint64_t target = r.u64();
+    const std::uint64_t epoch = r.u64();
     if (adaptive_) {
       controller_.setTarget(target);
-      epochTarget_ = target;
     } else {
       SOPS_REQUIRE(target == epochTarget_,
                    "snapshot: fixed epoch target does not match the "
                    "runner's options");
     }
-    const std::uint64_t n = r.u64();
-    SOPS_REQUIRE(n == clock_.size() && n == particles,
-                 "snapshot: per-particle stream count does not match the "
-                 "particle count");
-    for (std::size_t i = 0; i < n; ++i) {
-      clock_.setNextTime(i, r.f64());
-      clock_.setState(i, system::readEngineState(r));
-      coin_.setState(i, system::readEngineState(r));
-    }
-    epochLength_ = static_cast<double>(epochTarget_) / clock_.totalRate();
+    now_ = now;
+    sweepEvents_ = sweepEvents;
+    epochTarget_ = target;
+    epoch_ = epoch;
+    epochLength_ = static_cast<double>(epochTarget_) / totalRate_;
   }
 
  private:
   static constexpr std::uint64_t kStripeColumns = 64;
+  /// Stream key of the deferred sweep; stripe keys are column / 64 < 2^58.
+  static constexpr std::uint64_t kSweepKey = ~std::uint64_t{0};
   using Tally = typename Kernel::Tally;
 
-  /// One pending activation.  The (time, particle) order is THE schedule
-  /// order — the stripe pass and the sweep both sort by it, and
-  /// reproducibility across thread counts rests on the tie-break.
+  /// One deferred activation.  The sweep runs them in (time, particle)
+  /// order, and reproducibility across thread counts rests on the
+  /// tie-break.
   struct Event {
     double time;
     std::uint32_t particle;
@@ -245,44 +258,11 @@ class StripeEpochExecutor {
   /// over a flat window, first-touch over a tiled one).  Cache-line
   /// aligned so workers' tallies never share a line.
   struct alignas(64) Slot {
-    std::vector<std::uint32_t> particles;
-    std::vector<Event> events;
+    std::vector<std::uint32_t> particles;  ///< P_s, ascending ids
     std::vector<Event> deferred;
-    util::EventSortScratch<Event> scratch;
+    std::uint64_t rings = 0;  ///< events this epoch, run or deferred
     Tally tally{};
   };
-
-  /// Per-run cleanup, also when an epoch throws: a pre-draw in flight
-  /// must finish before unwinding (it writes the clock bank and draws_);
-  /// its draws stay pending as a valid continuation for the next run.
-  class RunGuard {
-   public:
-    explicit RunGuard(StripeEpochExecutor& executor) noexcept
-        : executor_(executor) {}
-    ~RunGuard() {
-      if (executor_.overlapPending_) {
-        try {
-          executor_.overlap_->wait();
-        } catch (...) {
-          executor_.overlapPending_ = false;  // fill died; buffer unusable
-        }
-      }
-    }
-    RunGuard(const RunGuard&) = delete;
-    RunGuard& operator=(const RunGuard&) = delete;
-
-   private:
-    StripeEpochExecutor& executor_;
-  };
-
-  /// Every firing time lies in the epoch window [begin, end), so the
-  /// bucket sort applies; its per-bucket comparison is Event's operator<.
-  static void sortEvents(std::vector<Event>& events,
-                         util::EventSortScratch<Event>& scratch, double begin,
-                         double end) {
-    util::sortEventsInWindow(events, scratch, begin, end,
-                             [](const Event& e) { return e.time; });
-  }
 
   [[nodiscard]] static std::uint64_t columnOf(lattice::TriPoint anchor,
                                               std::int64_t originX) noexcept {
@@ -290,13 +270,8 @@ class StripeEpochExecutor {
                                       originX);
   }
 
-  void runEvent(Kernel& kernel, std::uint32_t i, Tally& tally) {
-    rng::StreamBank::Use use = coin_.use(i);
-    kernel.runEvent(i, use.rng(), tally);
-  }
-
-  /// Buckets every particle that fires this epoch into its stripe's slot
-  /// and lists the active slots in ascending stripe order.
+  /// Buckets every particle into its stripe's slot and lists the active
+  /// slots in ascending stripe order.
   void bucket(const Kernel& kernel, const system::BitGrid& grid) {
     const std::int64_t originX = grid.originX();
     activeSlots_.clear();
@@ -308,8 +283,7 @@ class StripeEpochExecutor {
       if (slots_.size() < stripes) slots_.resize(stripes);
       for (Slot& slot : slots_) slot.particles.clear();
     }
-    for (std::uint32_t i = 0; i < clock_.size(); ++i) {
-      if (draws_.count(i) == 0) continue;
+    for (std::uint32_t i = 0; i < particles_; ++i) {
       const std::uint64_t stripe = columnOf(kernel.anchor(i), originX) >> 6;
       std::size_t slot = stripe;
       if (grid.tiled()) {
@@ -340,57 +314,51 @@ class StripeEpochExecutor {
     }
   }
 
-  /// The stripe phase of one slot, on a worker thread: gathers its
-  /// particles' pre-drawn firing times, sorts once, executes interior
-  /// events and defers the rest.  Touches only this stripe's plane words,
-  /// its particles' coin streams and its own slot.
+  /// The stripe phase of one slot, on a worker thread: walks the stripe's
+  /// superposed clock over [now, epochEnd), executes interior events as
+  /// they ring and defers the rest.  Touches only this stripe's plane
+  /// words, its own stream and its own slot.
   void runStripe(Kernel& kernel, Slot& slot, std::uint64_t stripe,
                  std::int64_t originX, double epochEnd) {
-    slot.events.clear();
     slot.deferred.clear();
+    slot.rings = 0;
     slot.tally = Tally{};
-    for (const std::uint32_t i : slot.particles) {
-      const std::uint64_t end = draws_.offsets[i + 1];
-      for (std::uint64_t k = draws_.offsets[i]; k < end; ++k) {
-        slot.events.push_back({draws_.times[k], i});
+    const std::vector<std::uint32_t>& members = slot.particles;
+    const auto count = static_cast<std::uint32_t>(members.size());
+    const bool thinned = !rates_.empty();
+    double maxRate = uniformRate_;
+    if (thinned) {
+      maxRate = 0.0;
+      for (const std::uint32_t i : members) {
+        maxRate = std::max(maxRate, rates_[i]);
       }
     }
-    sortEvents(slot.events, slot.scratch, now_, epochEnd);
-    for (const Event& event : slot.events) {
+    const double stripeRate = static_cast<double>(count) * maxRate;
+    rng::Random rng = rng::epochStream(seed_, epoch_, stripe);
+    for (double t = now_ + rng.exponential(stripeRate); t < epochEnd;
+         t += rng.exponential(stripeRate)) {
+      const std::uint32_t i = members[rng.below(count)];
+      if (thinned && !(rng.uniform() * maxRate < rates_[i])) continue;
+      ++slot.rings;
       // Evaluated on the *current* anchor: once a particle is deferred it
       // cannot move again this phase, so the decision is stable.
-      const lattice::TriPoint anchor = kernel.anchor(event.particle);
+      const lattice::TriPoint anchor = kernel.anchor(i);
       const std::uint64_t col = columnOf(anchor, originX);
       const std::uint64_t inStripe = col & (kStripeColumns - 1);
       if ((col >> 6) == stripe && inStripe >= Kernel::kHaloColumns &&
           inStripe < kStripeColumns - Kernel::kHaloColumns &&
           kernel.stripeSafe(anchor)) {
-        runEvent(kernel, event.particle, slot.tally);
+        kernel.runEvent(i, rng, slot.tally);
       } else {
-        slot.deferred.push_back(event);
+        slot.deferred.push_back({t, i});
       }
     }
   }
 
-  /// One epoch [now, now + Δ): batched draw (or overlap handoff), kernel
-  /// pre-phase, stripe phase, join, next-Δ decision and pre-draw submit,
-  /// deferred sweep.  A pre-draw is submitted only when this call goes on
-  /// (executed + this epoch < minEvents), so bursts never end with a fill
-  /// pending.  Returns the events executed (all of the epoch's draws).
-  std::uint64_t runEpoch(Kernel& kernel, std::uint64_t executedBefore,
-                         std::uint64_t minEvents) {
+  /// One epoch [now, now + Δ): kernel pre-phase, bucketing, stripe phase,
+  /// join, deferred sweep, next-Δ decision.  Returns the events executed.
+  std::uint64_t runEpoch(Kernel& kernel) {
     const double epochEnd = now_ + epochLength_;
-    // fillEpoch is a pure function of the clock bank, so the helper's
-    // pre-draw and a fill here give identical draws.
-    if (overlapPending_) {
-      overlap_->wait();
-      overlapPending_ = false;
-      SOPS_DASSERT(pendingEnd_ == epochEnd);
-    } else {
-      clock_.fillEpoch(epochEnd, draws_);
-    }
-    const std::uint64_t total = draws_.total();
-
     kernel.prepareEpoch();
     const system::BitGrid& grid = kernel.grid();
     const std::int64_t originX = grid.originX();
@@ -404,59 +372,52 @@ class StripeEpochExecutor {
     // Merge in stripe order, fixed regardless of which thread ran what.
     // (time, particle) keys are unique, so one sort of the concatenated
     // deferred lists gives the exact merged schedule.
+    std::uint64_t total = 0;
     sweep_.clear();
     for (const std::size_t s : activeSlots_) {
       kernel.mergeTally(slots_[s].tally);
+      total += slots_[s].rings;
       sweep_.insert(sweep_.end(), slots_[s].deferred.begin(),
                     slots_[s].deferred.end());
     }
-    if (!sweep_.empty()) sortEvents(sweep_, sweepScratch_, now_, epochEnd);
-
-    if (adaptive_) epochTarget_ = controller_.update(sweep_.size(), total);
-    const double nextLength =
-        static_cast<double>(epochTarget_) / clock_.totalRate();
-    const double nextEnd = epochEnd + nextLength;
-    if (threads_ != 1 && !isCancelled(cancel_) &&
-        executedBefore + total < minEvents) {
-      if (!overlap_) overlap_ = std::make_unique<OverlapWorker>();
-      overlapPending_ = true;
-      pendingEnd_ = nextEnd;
-      overlap_->submit([this, nextEnd] { clock_.fillEpoch(nextEnd, draws_); });
+    if (!sweep_.empty()) {
+      util::sortEventsInWindow(sweep_, sweepScratch_, now_, epochEnd,
+                               [](const Event& e) { return e.time; });
     }
 
-    // The sequential sweep, by original timestamps.  The helper touches
-    // only the clock bank and draws_, never the kernel's state or the coin
-    // bank, so it runs concurrently with this loop.
+    // The sequential sweep, by original timestamps.
     Tally sweepTally{};
+    rng::Random coin = rng::epochStream(seed_, epoch_, kSweepKey);
     for (const Event& event : sweep_) {
-      runEvent(kernel, event.particle, sweepTally);
+      kernel.runEvent(event.particle, coin, sweepTally);
     }
     kernel.mergeTally(sweepTally);
     sweepEvents_ += sweep_.size();
 
+    if (adaptive_) epochTarget_ = controller_.update(sweep_.size(), total);
     now_ = epochEnd;
-    epochLength_ = nextLength;
+    epochLength_ = static_cast<double>(epochTarget_) / totalRate_;
+    ++epoch_;
     return total;
   }
 
+  std::uint64_t seed_;
+  std::size_t particles_;
   unsigned threads_;
   bool adaptive_;
   double now_ = 0.0;
   double epochLength_ = 1.0;
   std::uint64_t epochTarget_ = 0;
+  std::uint64_t epoch_ = 0;  ///< index of the next epoch; keys its streams
   std::uint64_t sweepEvents_ = 0;
   AdaptiveEpochController controller_;
   const CancelToken* cancel_ = nullptr;
 
-  rng::PoissonClockBank clock_;  ///< SoA waiting-time streams + rates
-  rng::StreamBank coin_;         ///< SoA per-event draw streams
-
-  /// The epoch's firing times.  Dead once the stripes have gathered them,
-  /// so the overlap helper refills it for the next epoch during the sweep.
-  rng::PoissonClockBank::EpochDraws draws_;
-  bool overlapPending_ = false;
-  double pendingEnd_ = 0.0;
-  std::unique_ptr<OverlapWorker> overlap_;
+  /// Per-particle rates when they differ; empty when every particle rings
+  /// at uniformRate_.
+  std::vector<double> rates_;
+  double uniformRate_ = 1.0;
+  double totalRate_ = 0.0;
 
   std::vector<Slot> slots_;
   std::vector<std::size_t> activeSlots_;  ///< in ascending stripe order

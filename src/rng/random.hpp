@@ -22,18 +22,22 @@ namespace sops::rng {
 /// producing 64-bit words.  `Random` delegates to these, and the SoA stream
 /// banks (stream_bank.hpp) call them directly on a register-resident
 /// engine — one definition, so the two paths cannot drift bit-wise.
-/// The chain step's draws (drawUniform, drawBelow) are `inline` as a hint:
-/// without it gcc left these templates out of line in large TUs.
+/// The per-event draws (drawUniform, drawUniformPositive, drawBelow) are
+/// always inlined: with only an `inline` hint, gcc left them out of line in
+/// TUs that instantiate both the sequential engine and the sharded
+/// runners, and the sequential chain step then paid a call per draw.
 
 /// Uniform double in [0, 1) with 53 bits of precision.
 template <typename Engine>
-[[nodiscard]] inline double drawUniform(Engine& engine) noexcept {
+[[nodiscard, gnu::always_inline]] inline double drawUniform(
+    Engine& engine) noexcept {
   return static_cast<double>(engine() >> 11) * 0x1.0p-53;
 }
 
 /// Uniform double in (0, 1]; safe as an argument to log().
 template <typename Engine>
-[[nodiscard]] double drawUniformPositive(Engine& engine) noexcept {
+[[nodiscard, gnu::always_inline]] inline double drawUniformPositive(
+    Engine& engine) noexcept {
   return (static_cast<double>(engine() >> 11) + 1.0) * 0x1.0p-53;
 }
 
@@ -51,8 +55,8 @@ template <typename Engine>
 /// Uniform integer in [0, bound).  Uses Lemire's multiply-shift rejection
 /// method: unbiased for every bound, one division only on rejection.
 template <typename Engine>
-[[nodiscard]] inline std::uint32_t drawBelow(Engine& engine,
-                                             std::uint32_t bound) noexcept {
+[[nodiscard, gnu::always_inline]] inline std::uint32_t drawBelow(
+    Engine& engine, std::uint32_t bound) noexcept {
   SOPS_DASSERT(bound > 0);
   std::uint64_t x = engine() >> 32;  // 32 uniform bits
   std::uint64_t m = x * bound;
@@ -155,21 +159,31 @@ class Random {
 };
 
 /// Decorrelated per-particle stream `lane` (1-based) of `particle` under a
-/// master seed — the seeding discipline the sharded runners (amoebot and
-/// chain) share: avalanche (seed, 2·particle + lane) through util::mix64
+/// master seed: avalanche (seed, 2·particle + lane) through util::mix64
 /// rather than fork()'s engine jump, whose ~256 state advances would
 /// dominate construction at 10⁶ particles.  Every draw from the returned
 /// generator is a pure function of (seed, particle, lane, draw index).
-/// One shared definition so the two runners' documented common discipline
-/// cannot drift.  Streams are seeded here exactly once, when a runner (or
-/// its `StreamBank`) is constructed; per event the runners touch only the
-/// 32-byte engine state, stored SoA in stream_bank.hpp so one stream costs
-/// one cache line instead of two scattered ones.
+/// This seeds the SoA per-particle banks of stream_bank.hpp.
 [[nodiscard]] inline Random particleStream(std::uint64_t seed,
                                            std::uint64_t particle,
                                            std::uint64_t lane) noexcept {
   return Random(
       util::mix64(seed ^ (0x9e3779b97f4a7c15ULL * (2 * particle + lane))));
+}
+
+/// The stream of one (epoch, key) pair under a master seed — all the
+/// randomness of the sharded runners (core/stripe_epoch_executor.hpp): in
+/// each epoch every active stripe draws its superposed clock, member
+/// picks and event coins from the stream keyed by its stripe index, and
+/// the deferred sweep from one more key.  (seed, epoch, key) is folded
+/// through util::mix64 one word at a time, so every draw is a pure
+/// function of (seed, epoch, key, draw index) and distinct pairs seed
+/// decorrelated generators.  Creating one costs a few multiplies, so a
+/// stripe makes its stream afresh each epoch instead of storing it.
+[[nodiscard]] inline Random epochStream(std::uint64_t seed,
+                                        std::uint64_t epoch,
+                                        std::uint64_t key) noexcept {
+  return Random(util::mix64(util::mix64(util::mix64(seed) ^ epoch) ^ key));
 }
 
 }  // namespace sops::rng

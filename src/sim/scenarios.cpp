@@ -461,14 +461,16 @@ class AmoebotRun : public ScenarioRun {
   }
   [[nodiscard]] bool supportsSnapshots() const override { return true; }
   // The system (particle structs, fault flags, window geometry) and the
-  // runner (clock, per-particle streams) serialize back to back; the
-  // constructor's random orientation/fault draws are overwritten wholesale
-  // on restore, so a resumed run needs only the same spec and seed.
+  // runner (clock, activation count, epoch state) serialize back to back;
+  // the constructor's random orientation/fault draws are overwritten
+  // wholesale on restore, so a resumed run needs only the same spec and
+  // seed.  A pre-v4 frame is rejected before the system is touched.
   void saveState(system::SnapshotWriter& w) const override {
     sys_.saveState(w);
     runner_->saveState(w);
   }
   void restoreState(system::SnapshotReader& r) override {
+    core::requireStripeEpochFrame(r);
     sys_.restoreState(r);
     runner_->restoreState(r);
   }

@@ -7,7 +7,7 @@
 /// A snapshot file is a framed payload:
 ///
 ///   bytes 0..7    magic "SOPSSNAP"
-///   bytes 8..11   format version (u32 little-endian, currently 3)
+///   bytes 8..11   format version (u32 little-endian, currently 4)
 ///   bytes 12..19  payload length in bytes (u64 LE)
 ///   bytes 20..27  FNV-1a-64 checksum of the payload (u64 LE)
 ///   bytes 28..    payload
@@ -45,22 +45,28 @@ namespace sops::system {
 [[nodiscard]] std::uint64_t snapshotChecksum(
     std::span<const std::uint8_t> bytes) noexcept;
 
-/// Current frame format version.  v3: occupancy serializes a backend tag
-/// (flat window / tiled directory, with the tiled grid's exact
+/// Current frame format version.  v4: the sharded runners' schedule state
+/// is the sweep count, the epoch target and the epoch index — their
+/// per-particle clock and coin streams are gone (each stripe draws its
+/// events from a per-epoch stream), so their frames before v4 are rejected
+/// by name (kMinShardedSnapshotVersion).  v3: occupancy serializes a
+/// backend tag (flat window / tiled directory, with the tiled grid's exact
 /// allocated-tile set), and the sharded chain runner appends its
 /// partner-id plane's mode and paged directory — the tiled deferral
 /// predicates are functions of those directories, so a re-derived one
-/// would change the trajectory.  v2 payloads (flat occupancy only; the
-/// sharded runners' per-particle streams as bare 256-bit engine states
-/// plus the adaptive epoch target) are still accepted: their occupancy
-/// byte layout is a strict subset of v3's, and readers re-derive the id
-/// plane, which is exact for the flat mode v2 runs used.  v1 payloads
-/// stored full (seed, state) Random pairs and no target, so they must
-/// fail loudly rather than be misread.
-inline constexpr std::uint32_t kSnapshotVersion = 3;
+/// would change the trajectory.  Sequential-engine payloads of v2 (flat
+/// occupancy only) and v3 are still accepted: their byte layout is
+/// unchanged apart from v3's occupancy tag, of which v2's flat record is a
+/// strict subset.  v1 payloads stored full (seed, state) Random pairs, so
+/// they must fail loudly rather than be misread.
+inline constexpr std::uint32_t kSnapshotVersion = 4;
 
 /// Oldest frame version readSnapshotFile still accepts.
 inline constexpr std::uint32_t kMinSnapshotVersion = 2;
+
+/// Oldest frame version the sharded runners resume from
+/// (core::requireStripeEpochFrame).
+inline constexpr std::uint32_t kMinShardedSnapshotVersion = 4;
 
 /// Accumulates a snapshot payload as typed little-endian primitives.
 class SnapshotWriter {
@@ -184,13 +190,6 @@ void writeParticleSystem(SnapshotWriter& w, const ParticleSystem& sys);
 /// Serializes an rng::Random exactly: seed plus the 256-bit engine state.
 void writeRandom(SnapshotWriter& w, const rng::Random& random);
 [[nodiscard]] rng::Random readRandom(SnapshotReader& r);
-
-/// Serializes a bare 256-bit engine state — the per-stream unit of the
-/// SoA stream banks (rng/stream_bank.hpp), whose master seed lives in the
-/// run spec rather than in every stream.
-void writeEngineState(SnapshotWriter& w,
-                      const std::array<std::uint64_t, 4>& state);
-[[nodiscard]] std::array<std::uint64_t, 4> readEngineState(SnapshotReader& r);
 
 }  // namespace sops::system
 

@@ -4,11 +4,10 @@
 /// \file event_sort.hpp
 /// Two-level bucket sort for Poisson epoch schedules.
 ///
-/// The sharded runners sort each epoch's events by firing time, and that
-/// sort was the single largest line item in the single-thread
-/// Poissonization premium — a comparison sort pays O(n log n) branchy
+/// The sharded runners sort each epoch's deferred events by firing time
+/// for the sequential sweep.  A comparison sort pays O(n log n) branchy
 /// compares, and an LSD radix over the full 64-bit time pays 4–5 complete
-/// passes over an event array that outgrows L2 at production epoch sizes.
+/// passes over an event array that outgrows L2 at large epoch sizes.
 ///
 /// This sort exploits what the runners know about their keys: every
 /// firing time lies in the epoch window [begin, end), and the times are a

@@ -361,8 +361,8 @@ TEST(DurableRunGolden, SnapshotRequiresSingleReplica) {
 /// Trips the token from the checkpoint-2 sample of `scenario` at
 /// `threads`: the run must finish the sample, write the snapshot, and stop
 /// — reporting cancelled — and a resume must land on the uninterrupted
-/// trajectory.  At threads > 1 the sharded runners also pre-draw the next
-/// epoch on their overlap helper, which a cancel must unwind.
+/// trajectory.  At threads > 1 the sharded runners see the trip only at an
+/// epoch boundary, the state the snapshot captures.
 void expectTokenCancelResumesGolden(const std::string& scenario,
                                     unsigned threads) {
   const sim::RunSpec base = baseSpec(scenario, threads);

@@ -210,7 +210,7 @@ TEST(ShardedRunner, TrajectoryIndependentOfThreadCount) {
   EXPECT_EQ(one.tails, eight.tails);
   EXPECT_EQ(one.activations, eight.activations);
   // Cross-commit golden: trajectory and both snapshot byte layouts.
-  EXPECT_EQ(one.snapshotChecksum, 0x4c567d011febf984ull);
+  EXPECT_EQ(one.snapshotChecksum, 0x4c0847bf48a93ee8ull);
   EXPECT_EQ(three.snapshotChecksum, one.snapshotChecksum);
   EXPECT_EQ(eight.snapshotChecksum, one.snapshotChecksum);
   // The line spans several 64-column stripes, so both execution paths must
@@ -229,9 +229,10 @@ TEST(ShardedRunner, RepeatableForSeedAndSensitiveToIt) {
 }
 
 TEST(ShardedRunner, MidRunCancelStopsAtABoundaryThatResumesExactly) {
-  // The amoebot runner shares the chain runner's overlap pre-draw: a token
-  // tripped from another thread mid-epoch must leave nothing pending and a
-  // snapshot (system + runner) that continues the uninterrupted run.
+  // The amoebot runner shares the chain runner's epoch executor: a token
+  // tripped from another thread mid-epoch must stop the run at an epoch
+  // boundary whose snapshot (system + runner) continues the uninterrupted
+  // run.
   const std::uint64_t events = 400000;
   const LocalCompressionAlgorithm algo({4.0});
   ShardedOptions options;
@@ -296,6 +297,48 @@ TEST(ShardedRunner, PreservesInvariantsAndCompresses) {
     ASSERT_TRUE(sys.occupied(p.tail));
     ASSERT_TRUE(sys.occupied(p.head));
   }
+}
+
+TEST(ShardedRunner, ExplicitUnitRatesRunTheDefaultTrajectory) {
+  // Equal rates need no thinning, so all-ones rates draw exactly what the
+  // default (empty) rates draw.
+  std::vector<std::vector<std::uint8_t>> payloads;
+  for (const bool explicitOnes : {false, true}) {
+    rng::Random ctor(7);
+    AmoebotSystem sys(system::lineConfiguration(400), ctor);
+    const LocalCompressionAlgorithm algo({4.0});
+    ShardedOptions options;
+    options.threads = 2;
+    if (explicitOnes) options.rates.assign(sys.size(), 1.0);
+    ShardedPoissonRunner runner(sys, algo, 2017, options);
+    runner.runAtLeast(120000);
+    system::SnapshotWriter w;
+    sys.saveState(w);
+    runner.saveState(w);
+    payloads.push_back(w.payload());
+  }
+  EXPECT_EQ(payloads[1], payloads[0]);
+}
+
+TEST(ShardedRunner, ExecutorSnapshotStateIsConstantInN) {
+  // The runner's payload is its clock and activation count (16 bytes)
+  // followed by the executor's share, which keeps no per-particle state:
+  // the same byte count at n = 10^3 and n = 10^4.
+  std::vector<std::size_t> shares;
+  for (const std::int64_t n : {1000, 10000}) {
+    rng::Random ctor(7);
+    AmoebotSystem sys(system::spiralConfiguration(n), ctor);
+    const LocalCompressionAlgorithm algo({4.0});
+    ShardedOptions options;
+    options.threads = 2;
+    ShardedPoissonRunner runner(sys, algo, 2018, options);
+    runner.runAtLeast(static_cast<std::uint64_t>(3 * n));
+    system::SnapshotWriter w;
+    runner.saveState(w);
+    ASSERT_GT(w.payload().size(), 16u);
+    shares.push_back(w.payload().size() - 16);
+  }
+  EXPECT_EQ(shares[1], shares[0]);
 }
 
 TEST(ShardedRunner, HeterogeneousRatesRunAndStayDeterministic) {

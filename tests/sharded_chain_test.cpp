@@ -118,7 +118,7 @@ TEST(ShardedChain, CompressionTrajectoryIndependentOfThreadCount) {
     ShardedChainRunner<CompressionModel> runner(
         system::lineConfiguration(300), CompressionModel(options), 9001,
         sharded);
-    signatures.push_back(runAndCheck(runner, 120000, 0x23fe7da67bf977ddull));
+    signatures.push_back(runAndCheck(runner, 120000, 0x2ba3b9f0a3d0872eull));
     EXPECT_GT(signatures.back().sweepEvents, 0u);
     EXPECT_LT(signatures.back().sweepEvents, signatures.back().steps);
   }
@@ -140,7 +140,7 @@ TEST(ShardedChain, SeparationTrajectoryIndependentOfThreadCount) {
         system::lineConfiguration(300),
         SeparationModel(options, system::alternatingClasses(300, 2)), 9007,
         sharded);
-    signatures.push_back(runAndCheck(runner, 120000, 0xd33a4cf1bc9aa0b3ull));
+    signatures.push_back(runAndCheck(runner, 120000, 0x42da7692cce2777cull));
     colorings.push_back(runner.model().colors());
     EXPECT_GT(runner.stats().auxAccepted, 0u);  // swaps actually exercised
   }
@@ -163,7 +163,7 @@ TEST(ShardedChain, AlignmentTrajectoryIndependentOfThreadCount) {
         system::lineConfiguration(300),
         AlignmentModel(options, system::alternatingClasses(300, 6)), 9011,
         sharded);
-    signatures.push_back(runAndCheck(runner, 120000, 0xd509e3d9851c2083ull));
+    signatures.push_back(runAndCheck(runner, 120000, 0x01a5afce831ca41aull));
     orientations.push_back(runner.model().orientations());
     EXPECT_GT(runner.stats().auxAccepted, 0u);  // rotations exercised
   }
@@ -253,6 +253,56 @@ TEST(ShardedChain, ThreadInvariantAcrossEpochConfigurations) {
   }
 }
 
+TEST(ShardedChain, ExplicitUnitRatesRunTheDefaultTrajectory) {
+  // Equal rates need no thinning, so all-ones rates draw exactly what the
+  // default (empty) rates draw.
+  const std::size_t n = 300;
+  ChainOptions options;
+  options.lambda = 4.0;
+  std::vector<std::vector<std::uint8_t>> payloads;
+  for (const bool explicitOnes : {false, true}) {
+    ShardedChainOptions sharded;
+    sharded.threads = 2;
+    if (explicitOnes) sharded.rates.assign(n, 1.0);
+    ShardedChainRunner<CompressionModel> runner(
+        system::lineConfiguration(static_cast<std::int64_t>(n)),
+        CompressionModel(options), 9023, sharded);
+    runAndCheck(runner, 60000);
+    system::SnapshotWriter w;
+    runner.saveState(w);
+    payloads.push_back(w.payload());
+  }
+  EXPECT_EQ(payloads[1], payloads[0]);
+}
+
+TEST(ShardedChain, ExecutorSnapshotStateIsConstantInN) {
+  // The executor keeps no per-particle schedule state: its share of the
+  // payload (everything after the runner's prefix) is the same at n = 10^3
+  // and n = 10^4.
+  ChainOptions options;
+  options.lambda = 4.0;
+  std::vector<std::size_t> shares;
+  for (const std::int64_t n : {1000, 10000}) {
+    ShardedChainOptions sharded;
+    sharded.threads = 2;
+    ShardedChainRunner<CompressionModel> runner(
+        system::spiralConfiguration(n), CompressionModel(options), 9029,
+        sharded);
+    runner.runAtLeast(static_cast<std::uint64_t>(3 * n));
+    system::SnapshotWriter whole;
+    runner.saveState(whole);
+    system::SnapshotWriter prefix;
+    system::writeParticleSystem(prefix, runner.system());
+    runner.model().serialize(prefix);
+    writeEngineStats(prefix, runner.stats());
+    prefix.i64(runner.edges());
+    prefix.f64(runner.now());
+    ASSERT_GT(whole.payload().size(), prefix.payload().size());
+    shares.push_back(whole.payload().size() - prefix.payload().size());
+  }
+  EXPECT_EQ(shares[1], shares[0]);
+}
+
 TEST(ShardedChain, DerivedEpochTargetClampedToCap) {
   // Regression: the derived default target (2n) used to bypass the 2^28
   // guard that explicit targets got, so a hypothetical 2^27-particle
@@ -304,11 +354,10 @@ TEST(ShardedChain, CompactShapeTrajectoryIndependentOfThreadCount) {
 }
 
 TEST(ShardedChain, MidRunCancelStopsAtABoundaryThatResumesExactly) {
-  // A token tripped from another thread lands mid-epoch, usually while the
-  // overlap helper pre-draws the next epoch.  The run must consume that
-  // epoch, stop at its boundary with nothing pending (saveState would
-  // throw), and its snapshot must continue the uninterrupted trajectory.
-  // Where the cut lands depends on timing; what it must satisfy does not.
+  // A token tripped from another thread lands mid-epoch.  The run must
+  // finish that epoch and stop at its boundary, and its snapshot must
+  // continue the uninterrupted trajectory.  Where the cut lands depends on
+  // timing; what it must satisfy does not.
   const std::uint64_t events = 600000;
   ChainOptions options;
   options.lambda = 4.0;

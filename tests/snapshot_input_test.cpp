@@ -14,15 +14,21 @@
 //     sharded runner was built for is rejected before any per-particle
 //     state is written;
 //  6. a particle list that repeats a cell is rejected by the occupancy
-//     grid, for both the chain and the amoebot system.
+//     grid, for both the chain and the amoebot system, and a rejected
+//     amoebot restore leaves the system exactly as it was;
+//  7. a sharded-runner frame older than v4 is rejected by name, while
+//     sequential-engine frames of v2 and v3 still load.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "amoebot/amoebot_system.hpp"
+#include "amoebot/local_compression.hpp"
+#include "amoebot/parallel_scheduler.hpp"
 #include "core/scenario_models.hpp"
 #include "core/sharded_chain_runner.hpp"
 #include "rng/random.hpp"
@@ -211,13 +217,17 @@ TEST(SnapshotInput, RepeatedParticlePositionIsANamedError) {
                        "duplicate particle position");
 }
 
-TEST(SnapshotInput, AmoebotOverlappingCellsAreANamedError) {
-  rng::Random ctor(5);
-  AmoebotSystem sys(system::lineConfiguration(2), ctor);
+/// A flat-window AmoebotSystem payload of contracted, flagless particles
+/// at `cells`, in the 64 × 64 window at (−32, −32).
+std::vector<std::uint8_t> amoebotPayload(
+    const std::vector<lattice::TriPoint>& cells) {
   SnapshotWriter w;
-  w.u64(2);
-  for (int particle = 0; particle < 2; ++particle) {
-    for (int coord = 0; coord < 4; ++coord) w.i64(0);  // tail = head = 0,0
+  w.u64(cells.size());
+  for (const lattice::TriPoint cell : cells) {
+    for (int end = 0; end < 2; ++end) {  // tail, then head == tail
+      w.i64(cell.x);
+      w.i64(cell.y);
+    }
     w.u8(0);  // contracted, no flags
     w.u8(0);
     w.u8(0);
@@ -227,9 +237,67 @@ TEST(SnapshotInput, AmoebotOverlappingCellsAreANamedError) {
   w.i64(-32);
   w.u64(64);
   w.u64(64);
-  SnapshotReader r(w.payload());
+  return w.payload();
+}
+
+TEST(SnapshotInput, AmoebotOverlappingCellsAreANamedError) {
+  rng::Random ctor(5);
+  AmoebotSystem sys(system::lineConfiguration(2), ctor);
+  const std::vector<std::uint8_t> payload =
+      amoebotPayload({{0, 0}, {0, 0}});
+  SnapshotReader r(payload);
   expectNamedViolation([&] { sys.restoreState(r); },
                        "duplicate particle position");
+}
+
+TEST(SnapshotInput, AmoebotRejectedRestoreLeavesSystemUnchanged) {
+  // The occupancy plane is rebuilt before anything is replaced, so a frame
+  // the rebuild rejects leaves particles and planes as they were.
+  rng::Random ctor(5);
+  AmoebotSystem sys(system::lineConfiguration(6), ctor);
+  sys.expand(5, lattice::Direction::East);  // a head cell, too
+  std::vector<amoebot::Particle> before;
+  for (std::size_t id = 0; id < sys.size(); ++id) {
+    before.push_back(sys.particle(id));
+  }
+  SnapshotWriter beforeBytes;
+  sys.saveState(beforeBytes);
+
+  // Six particles on one cell; six cells, one far outside the window.
+  const std::vector<std::vector<lattice::TriPoint>> rejected = {
+      std::vector<lattice::TriPoint>(6, lattice::TriPoint{0, 0}),
+      {{0, 0}, {1, 0}, {2, 0}, {3, 0}, {4, 0}, {1000, 0}}};
+  for (const std::vector<lattice::TriPoint>& cells : rejected) {
+    const std::vector<std::uint8_t> payload = amoebotPayload(cells);
+    SnapshotReader r(payload);
+    EXPECT_THROW(sys.restoreState(r), ContractViolation);
+
+    ASSERT_EQ(sys.size(), before.size());
+    for (std::size_t id = 0; id < before.size(); ++id) {
+      const amoebot::Particle& p = sys.particle(id);
+      EXPECT_EQ(p.tail, before[id].tail) << id;
+      EXPECT_EQ(p.head, before[id].head) << id;
+      EXPECT_EQ(p.expanded, before[id].expanded) << id;
+      EXPECT_EQ(p.flag, before[id].flag) << id;
+      EXPECT_EQ(p.orientationOffset, before[id].orientationOffset) << id;
+      EXPECT_EQ(p.mirrored, before[id].mirrored) << id;
+      EXPECT_EQ(p.crashed, before[id].crashed) << id;
+      EXPECT_EQ(p.byzantine, before[id].byzantine) << id;
+      EXPECT_EQ(p.expandDir, before[id].expandDir) << id;
+      EXPECT_TRUE(sys.occupied(p.tail)) << id;
+      EXPECT_TRUE(sys.occupied(p.head)) << id;
+    }
+    for (const lattice::TriPoint cell : cells) {
+      const bool ownCell = std::any_of(
+          before.begin(), before.end(), [&](const amoebot::Particle& p) {
+            return p.tail == cell || p.head == cell;
+          });
+      EXPECT_EQ(sys.occupied(cell), ownCell) << cell.x << "," << cell.y;
+    }
+    SnapshotWriter afterBytes;
+    sys.saveState(afterBytes);
+    EXPECT_EQ(afterBytes.payload(), beforeBytes.payload());
+  }
 }
 
 TEST(SnapshotInput, AmoebotCoordinateOutsideInt32IsANamedError) {
@@ -249,8 +317,8 @@ TEST(SnapshotInput, AmoebotCoordinateOutsideInt32IsANamedError) {
 
 TEST(SnapshotInput, ChainParticleCountMismatchIsANamedError) {
   // CompressionModel::deserialize reads nothing, so only the count checks
-  // stand between a 200-particle payload and a runner whose clock and coin
-  // banks hold 48 streams.
+  // stand between a 200-particle payload and a runner whose epoch executor
+  // buckets 48 particles.
   core::ChainOptions options;
   options.lambda = 4.0;
   const core::CompressionModel model(options);
@@ -269,7 +337,7 @@ TEST(SnapshotInput, ChainParticleCountMismatchIsANamedError) {
         SnapshotReader r(runnerPayload.payload());
         small.restoreState(r);
       },
-      "stream count");
+      "particle count");
 
   const core::CompressionEngine bigEngine(system::lineConfiguration(200),
                                           model, 5);
@@ -282,6 +350,80 @@ TEST(SnapshotInput, ChainParticleCountMismatchIsANamedError) {
         smallEngine.restoreState(r);
       },
       "particle count");
+}
+
+TEST(SnapshotInput, ShardedFrameBeforeV4IsANamedError) {
+  // v4 replaced the sharded runners' per-particle streams with per-epoch
+  // state, so an older sharded frame cannot be read as today's layout.
+  core::ChainOptions options;
+  options.lambda = 4.0;
+  core::ShardedChainOptions sharded;
+  sharded.threads = 1;
+  core::ShardedChainRunner<core::CompressionModel> chain(
+      system::lineConfiguration(48), core::CompressionModel(options), 5,
+      sharded);
+  chain.runAtLeast(1000);
+  SnapshotWriter chainPayload;
+  chain.saveState(chainPayload);
+
+  rng::Random ctor(5);
+  AmoebotSystem sys(system::lineConfiguration(48), ctor);
+  const amoebot::LocalCompressionAlgorithm algo({4.0});
+  amoebot::ShardedPoissonRunner amoebotRunner(sys, algo, 5, sharded);
+  amoebotRunner.runAtLeast(1000);
+  SnapshotWriter amoebotPayload;
+  amoebotRunner.saveState(amoebotPayload);
+
+  for (const std::uint32_t version : {2u, 3u}) {
+    const std::string named =
+        "frame v" + std::to_string(version) + " predates v" +
+        std::to_string(system::kMinShardedSnapshotVersion);
+    expectNamedViolation(
+        [&] {
+          SnapshotReader r(chainPayload.payload(), version);
+          chain.restoreState(r);
+        },
+        named);
+    expectNamedViolation(
+        [&] {
+          SnapshotReader r(amoebotPayload.payload(), version);
+          amoebotRunner.restoreState(r);
+        },
+        named);
+  }
+  // Control: the same payloads restore under the current version.
+  SnapshotReader chainReader(chainPayload.payload());
+  chain.restoreState(chainReader);
+  chainReader.finish();
+  SnapshotReader amoebotReader(amoebotPayload.payload());
+  amoebotRunner.restoreState(amoebotReader);
+  amoebotReader.finish();
+}
+
+TEST(SnapshotInput, SequentialEngineFramesV2AndV3StillLoad) {
+  // The sequential engine's byte layout did not change in v4, so its
+  // older frames resume the same trajectory.
+  core::ChainOptions options;
+  options.lambda = 4.0;
+  const core::CompressionModel model(options);
+  core::CompressionEngine original(system::lineConfiguration(48), model, 5);
+  original.run(5000);
+  SnapshotWriter payload;
+  original.saveState(payload);
+  original.run(5000);
+  SnapshotWriter expected;
+  original.saveState(expected);
+
+  for (const std::uint32_t version : {2u, 3u}) {
+    core::CompressionEngine resumed(system::lineConfiguration(48), model, 5);
+    SnapshotReader r(payload.payload(), version);
+    resumed.restoreState(r);
+    r.finish();
+    resumed.run(5000);
+    SnapshotWriter actual;
+    resumed.saveState(actual);
+    EXPECT_EQ(actual.payload(), expected.payload()) << "v" << version;
+  }
 }
 
 }  // namespace

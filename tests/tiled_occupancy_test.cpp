@@ -330,7 +330,7 @@ TEST(TiledTrajectory, ShardedTiledIndependentOfThreadCount) {
     // Cross-commit golden: trajectory and snapshot byte layout.
     system::SnapshotWriter w;
     runner.saveState(w);
-    EXPECT_EQ(system::snapshotChecksum(w.payload()), 0x9eb388dd439841f1ull)
+    EXPECT_EQ(system::snapshotChecksum(w.payload()), 0x61da7e4c5f45803dull)
         << threads;
   }
   for (std::size_t i = 1; i < signatures.size(); ++i) {
@@ -361,7 +361,7 @@ TEST(TiledTrajectory, ShardedCompressionTiledIndependentOfThreadCount) {
     // Cross-commit golden: trajectory and snapshot byte layout.
     system::SnapshotWriter w;
     runner.saveState(w);
-    EXPECT_EQ(system::snapshotChecksum(w.payload()), 0x3b961f1f2d12782bull)
+    EXPECT_EQ(system::snapshotChecksum(w.payload()), 0xb1e7f7301fce5270ull)
         << threads;
   }
   for (std::size_t i = 1; i < signatures.size(); ++i) {
@@ -417,7 +417,7 @@ TEST(TiledTrajectory, AmoebotShardedTiledIndependentOfThreadCount) {
     system::SnapshotWriter w;
     sys.saveState(w);
     runner.saveState(w);
-    EXPECT_EQ(system::snapshotChecksum(w.payload()), 0x01792041cc3de515ull)
+    EXPECT_EQ(system::snapshotChecksum(w.payload()), 0x3ba4edf2b355bad1ull)
         << threads;
     Outcome outcome;
     for (std::size_t id = 0; id < sys.size(); ++id) {
@@ -499,42 +499,9 @@ TEST(TiledSnapshot, FlatParticleSystemBytesParseUnderAV2Reader) {
   EXPECT_EQ(restored.grid().width(), sys.grid().width());
 }
 
-TEST(TiledSnapshot, ShardedV2PayloadWithoutIdTrailerResumesExactly) {
-  // A genuine v2 sharded-separation payload is today's payload minus the
-  // one-byte id-plane trailer (flat-mode runs serialize only the Inactive
-  // tag).  Restoring it through a version-2 reader must re-derive the
-  // plane and continue the identical trajectory.
-  SeparationModel::Options options;
-  options.lambda = 4.0;
-  options.gamma = 4.0;
-  core::ShardedChainOptions sharded;
-  sharded.threads = 2;
-  const auto makeRunner = [&] {
-    return core::ShardedChainRunner<SeparationModel>(
-        system::lineConfiguration(60),
-        SeparationModel(options, system::alternatingClasses(60, 2)), 2741,
-        sharded);
-  };
-  core::ShardedChainRunner<SeparationModel> original = makeRunner();
-  original.runAtLeast(20000);
-  system::SnapshotWriter w;
-  original.saveState(w);
-  std::vector<std::uint8_t> v2Payload = w.payload();
-  ASSERT_FALSE(v2Payload.empty());
-  ASSERT_EQ(v2Payload.back(), 0u);  // the Inactive id-plane tag
-  v2Payload.pop_back();
-  core::ShardedChainRunner<SeparationModel> resumed = makeRunner();
-  system::SnapshotReader r(v2Payload, 2);
-  resumed.restoreState(r);
-  r.finish();
-  original.runAtLeast(20000);
-  resumed.runAtLeast(20000);
-  EXPECT_TRUE(signatureOf(resumed) == signatureOf(original));
-}
-
 TEST(TiledSnapshot, ShardedTiledSaveRestoreContinuesExactly) {
-  // v3 proper: a tiled sharded run serializes its tile and page
-  // directories verbatim; the resumed runner must continue bit-identically
+  // A tiled sharded run serializes its tile and page directories
+  // verbatim (since v3); the resumed runner must continue bit-identically
   // (the deferral predicates are functions of those directories).
   SeparationModel::Options options;
   options.lambda = 4.0;
