@@ -270,8 +270,9 @@ class StripeEpochExecutor {
                                       originX);
   }
 
-  /// Buckets every particle into its stripe's slot and lists the active
-  /// slots in ascending stripe order.
+  /// Buckets every particle into its stripe's slot, lists the active
+  /// slots in ascending stripe order, and lists them again heaviest first
+  /// for the workers.
   void bucket(const Kernel& kernel, const system::BitGrid& grid) {
     const std::int64_t originX = grid.originX();
     activeSlots_.clear();
@@ -312,6 +313,15 @@ class StripeEpochExecutor {
         if (!slots_[s].particles.empty()) activeSlots_.push_back(s);
       }
     }
+    // Largest stripe first: the workers claim slots in this order, so the
+    // heaviest stripe starts at once instead of finishing the phase alone.
+    // Which worker runs which stripe never touches the trajectory.
+    workOrder_ = activeSlots_;
+    std::stable_sort(workOrder_.begin(), workOrder_.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return slots_[a].particles.size() >
+                              slots_[b].particles.size();
+                     });
   }
 
   /// The stripe phase of one slot, on a worker thread: walks the stripe's
@@ -364,8 +374,8 @@ class StripeEpochExecutor {
     const std::int64_t originX = grid.originX();
     const bool tiled = grid.tiled();
     bucket(kernel, grid);
-    parallelForIndex(activeSlots_.size(), threads_, [&](std::size_t k) {
-      const std::size_t slot = activeSlots_[k];
+    parallelForIndex(workOrder_.size(), threads_, [&](std::size_t k) {
+      const std::size_t slot = workOrder_[k];
       runStripe(kernel, slots_[slot], tiled ? stripeOfSlot_[slot] : slot,
                 originX, epochEnd);
     });
@@ -421,6 +431,7 @@ class StripeEpochExecutor {
 
   std::vector<Slot> slots_;
   std::vector<std::size_t> activeSlots_;  ///< in ascending stripe order
+  std::vector<std::size_t> workOrder_;    ///< active slots, largest first
   util::FlatMap64<std::uint32_t> stripeSlots_;  ///< tiled: stripe → slot
   std::vector<std::uint64_t> stripeOfSlot_;     ///< tiled: slot → stripe
   std::vector<Event> sweep_;
