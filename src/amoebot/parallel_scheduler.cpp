@@ -20,8 +20,10 @@ void ShardedPoissonRunner::saveState(system::SnapshotWriter& w) const {
 void ShardedPoissonRunner::restoreState(system::SnapshotReader& r) {
   core::requireStripeEpochFrame(r);
   const double now = r.f64();
-  totalActivations_ = r.u64();
-  executor_.restoreState(r, now, sys_.size());
+  const std::uint64_t activations = r.u64();
+  const auto schedule = executor_.readState(r, now, sys_.size());
+  totalActivations_ = activations;
+  executor_.restoreState(schedule);
 }
 
 }  // namespace sops::amoebot

@@ -161,18 +161,28 @@ class ShardedChainRunner {
   /// Frames before v4 are rejected (requireStripeEpochFrame).
   void restoreState(system::SnapshotReader& r) {
     requireStripeEpochFrame(r);
-    system_ = system::readParticleSystem(r);
-    model_.deserialize(r);
-    stats_ = readEngineStats(r);
-    edges_ = r.i64();
+    // Everything is read and checked into locals first, so a rejected
+    // frame leaves the runner exactly as it was.
+    system::ParticleSystem restored = system::readParticleSystem(r);
+    Model model = model_;
+    model.deserialize(r);
+    const EngineStats stats = readEngineStats(r);
+    const std::int64_t edges = r.i64();
     const double now = r.f64();
-    executor_.restoreState(r, now, system_.size());
-    model_.attach(system_);
+    const auto schedule = executor_.readState(r, now, restored.size());
     // The plane's mode and exact page directory, restored key for key.
-    if constexpr (kMaintainsIds) partnerIds_.restoreState(r, system_);
-    SOPS_REQUIRE(system::countEdges(system_) == edges_,
+    ParticleIdPlane partnerIds;
+    if constexpr (kMaintainsIds) partnerIds.restoreState(r, restored);
+    SOPS_REQUIRE(system::countEdges(restored) == edges,
                  "snapshot: restored edge count disagrees with the "
                  "configuration — corrupt or mismatched snapshot");
+    system_ = std::move(restored);
+    model_ = std::move(model);
+    stats_ = stats;
+    edges_ = edges;
+    executor_.restoreState(schedule);
+    partnerIds_ = std::move(partnerIds);
+    model_.attach(system_);
   }
 
  private:

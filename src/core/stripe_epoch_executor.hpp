@@ -209,29 +209,41 @@ class StripeEpochExecutor {
     w.u64(epoch_);
   }
 
-  /// Inverse of saveState on an executor built with the same seed and
-  /// options; `now` is the clock the runner read from its prefix, and
-  /// `particles` the particle count of the restored system, which must be
-  /// the count this executor was built for.
-  void restoreState(system::SnapshotReader& r, double now,
-                    std::size_t particles) {
+  /// The schedule state one saveState wrote, with the runner's clock.
+  struct SavedState {
+    double now;
+    std::uint64_t sweepEvents;
+    std::uint64_t epochTarget;
+    std::uint64_t epoch;
+  };
+
+  /// Reads what saveState wrote and checks it against this executor (built
+  /// with the same seed and options) without changing it; `now` is the
+  /// clock the runner read from its prefix, and `particles` the particle
+  /// count of the restored system, which must be the count this executor
+  /// was built for.  restoreState(const SavedState&) then adopts it, once
+  /// the runner has checked the rest of its frame.
+  [[nodiscard]] SavedState readState(system::SnapshotReader& r, double now,
+                                     std::size_t particles) const {
     SOPS_REQUIRE(particles == particles_,
                  "snapshot: restored particle count does not match the "
                  "particle count the runner was built for");
-    const std::uint64_t sweepEvents = r.u64();
-    const std::uint64_t target = r.u64();
-    const std::uint64_t epoch = r.u64();
-    if (adaptive_) {
-      controller_.setTarget(target);
-    } else {
-      SOPS_REQUIRE(target == epochTarget_,
-                   "snapshot: fixed epoch target does not match the "
-                   "runner's options");
-    }
-    now_ = now;
-    sweepEvents_ = sweepEvents;
-    epochTarget_ = target;
-    epoch_ = epoch;
+    SavedState state{now, 0, 0, 0};
+    state.sweepEvents = r.u64();
+    state.epochTarget = r.u64();
+    state.epoch = r.u64();
+    SOPS_REQUIRE(adaptive_ || state.epochTarget == epochTarget_,
+                 "snapshot: fixed epoch target does not match the "
+                 "runner's options");
+    return state;
+  }
+
+  void restoreState(const SavedState& state) {
+    if (adaptive_) controller_.setTarget(state.epochTarget);
+    now_ = state.now;
+    sweepEvents_ = state.sweepEvents;
+    epochTarget_ = state.epochTarget;
+    epoch_ = state.epoch;
     epochLength_ = static_cast<double>(epochTarget_) / totalRate_;
   }
 

@@ -17,7 +17,9 @@
 //     grid, for both the chain and the amoebot system, and a rejected
 //     amoebot restore leaves the system exactly as it was;
 //  7. a sharded-runner frame older than v4 is rejected by name, while
-//     sequential-engine frames of v2 and v3 still load.
+//     sequential-engine frames of v2 and v3 still load;
+//  8. a frame either sharded runner rejects leaves it exactly as it was:
+//     same state, and the same continuation as an untouched twin.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -398,6 +400,165 @@ TEST(SnapshotInput, ShardedFrameBeforeV4IsANamedError) {
   SnapshotReader amoebotReader(amoebotPayload.payload());
   amoebotRunner.restoreState(amoebotReader);
   amoebotReader.finish();
+}
+
+/// `frame` with its last `bytes` bytes cut off.
+std::vector<std::uint8_t> truncated(const SnapshotWriter& frame,
+                                    std::size_t bytes) {
+  std::vector<std::uint8_t> payload = frame.payload();
+  payload.resize(payload.size() - bytes);
+  return payload;
+}
+
+/// Restores each rejected frame into `runner`, which must throw and keep
+/// its state, then checks that `runner` continues exactly like `twin`, a
+/// runner built and run the same way that never saw a rejected frame.
+template <typename Model>
+void expectRejectedFramesLeaveRunnerUnchanged(
+    core::ShardedChainRunner<Model>& runner,
+    core::ShardedChainRunner<Model>& twin,
+    const std::vector<std::vector<std::uint8_t>>& rejected) {
+  SnapshotWriter before;
+  runner.saveState(before);
+  for (std::size_t k = 0; k < rejected.size(); ++k) {
+    SnapshotReader r(rejected[k]);
+    EXPECT_THROW(runner.restoreState(r), ContractViolation) << "frame " << k;
+    EXPECT_EQ(runner.system().size(), twin.system().size()) << "frame " << k;
+    EXPECT_EQ(runner.system().positions(), twin.system().positions())
+        << "frame " << k;
+    EXPECT_EQ(runner.edges(), twin.edges()) << "frame " << k;
+    EXPECT_EQ(runner.stats().steps, twin.stats().steps) << "frame " << k;
+    EXPECT_EQ(runner.sweepEvents(), twin.sweepEvents()) << "frame " << k;
+    EXPECT_EQ(runner.now(), twin.now()) << "frame " << k;
+    SnapshotWriter after;
+    runner.saveState(after);
+    EXPECT_EQ(after.payload(), before.payload()) << "frame " << k;
+  }
+  runner.runAtLeast(3000);
+  twin.runAtLeast(3000);
+  SnapshotWriter ran;
+  runner.saveState(ran);
+  SnapshotWriter twinRan;
+  twin.saveState(twinRan);
+  EXPECT_EQ(ran.payload(), twinRan.payload());
+}
+
+TEST(SnapshotInput, ChainRejectedRestoreLeavesRunnerUnchanged) {
+  // Every frame below is read past the system, the model and the tallies
+  // before the executor or the edge recount rejects it.
+  core::ChainOptions options;
+  options.lambda = 4.0;
+  const core::CompressionModel model(options);
+  core::ShardedChainOptions sharded;
+  sharded.threads = 1;
+  sharded.targetEventsPerEpoch = 4096;
+  const auto make = [&](std::size_t n, const core::ShardedChainOptions& o) {
+    return core::ShardedChainRunner<core::CompressionModel>(
+        system::lineConfiguration(n), model, 5, o);
+  };
+  auto big = make(200, sharded);
+  big.runAtLeast(1000);
+  SnapshotWriter bigFrame;
+  big.saveState(bigFrame);
+  auto further = make(48, sharded);
+  further.runAtLeast(6000);
+  SnapshotWriter furtherFrame;
+  further.saveState(furtherFrame);
+  core::ShardedChainOptions otherTarget = sharded;
+  otherTarget.targetEventsPerEpoch = 8192;
+  auto other = make(48, otherTarget);
+  other.runAtLeast(6000);
+  SnapshotWriter otherFrame;
+  other.saveState(otherFrame);
+
+  auto runner = make(48, sharded);
+  auto twin = make(48, sharded);
+  runner.runAtLeast(1000);
+  twin.runAtLeast(1000);
+  expectRejectedFramesLeaveRunnerUnchanged(
+      runner, twin,
+      {bigFrame.payload(), truncated(furtherFrame, 8), otherFrame.payload()});
+}
+
+TEST(SnapshotInput, SeparationRejectedRestoreLeavesRunnerUnchanged) {
+  // The id-plane record is read last: a frame cut inside it has already
+  // handed the runner a new configuration, colors and schedule.
+  core::SeparationModel::Options options;
+  options.lambda = 4.0;
+  options.gamma = 4.0;
+  core::ShardedChainOptions sharded;
+  sharded.threads = 1;
+  sharded.targetEventsPerEpoch = 4096;
+  const auto make = [&] {
+    return core::ShardedChainRunner<core::SeparationModel>(
+        system::lineConfiguration(48),
+        core::SeparationModel(options, system::alternatingClasses(48, 2)), 5,
+        sharded);
+  };
+  auto further = make();
+  further.runAtLeast(6000);
+  SnapshotWriter furtherFrame;
+  further.saveState(furtherFrame);
+
+  auto runner = make();
+  auto twin = make();
+  runner.runAtLeast(1000);
+  twin.runAtLeast(1000);
+  expectRejectedFramesLeaveRunnerUnchanged(
+      runner, twin, {truncated(furtherFrame, 1), truncated(furtherFrame, 9)});
+  EXPECT_EQ(runner.model().colors(), twin.model().colors());
+}
+
+TEST(SnapshotInput, AmoebotRunnerRejectedRestoreLeavesRunnerUnchanged) {
+  // The runner's frame is its clock and activation count, then the
+  // executor's state: a cut or mismatched executor record must not leave
+  // the activation count behind.
+  const amoebot::LocalCompressionAlgorithm algo({4.0});
+  core::ShardedChainOptions sharded;
+  sharded.threads = 1;
+  sharded.targetEventsPerEpoch = 4096;
+  const auto frameAfter = [&](std::uint64_t activations,
+                              const core::ShardedChainOptions& o) {
+    rng::Random ctor(5);
+    AmoebotSystem sys(system::lineConfiguration(48), ctor);
+    amoebot::ShardedPoissonRunner runner(sys, algo, 5, o);
+    runner.runAtLeast(activations);
+    SnapshotWriter w;
+    runner.saveState(w);
+    return w;
+  };
+  core::ShardedChainOptions otherTarget = sharded;
+  otherTarget.targetEventsPerEpoch = 8192;
+  const std::vector<std::vector<std::uint8_t>> rejected = {
+      truncated(frameAfter(6000, sharded), 8),
+      frameAfter(6000, otherTarget).payload()};
+
+  rng::Random ctorA(5);
+  AmoebotSystem sysA(system::lineConfiguration(48), ctorA);
+  amoebot::ShardedPoissonRunner runner(sysA, algo, 5, sharded);
+  rng::Random ctorB(5);
+  AmoebotSystem sysB(system::lineConfiguration(48), ctorB);
+  amoebot::ShardedPoissonRunner twin(sysB, algo, 5, sharded);
+  runner.runAtLeast(1000);
+  twin.runAtLeast(1000);
+  for (std::size_t k = 0; k < rejected.size(); ++k) {
+    SnapshotReader r(rejected[k]);
+    EXPECT_THROW(runner.restoreState(r), ContractViolation) << "frame " << k;
+    EXPECT_EQ(runner.activations(), twin.activations()) << "frame " << k;
+    EXPECT_EQ(runner.sweepActivations(), twin.sweepActivations())
+        << "frame " << k;
+    EXPECT_EQ(runner.now(), twin.now()) << "frame " << k;
+    EXPECT_EQ(runner.epochTarget(), twin.epochTarget()) << "frame " << k;
+  }
+  runner.runAtLeast(3000);
+  twin.runAtLeast(3000);
+  SnapshotWriter ran;
+  runner.saveState(ran);
+  sysA.saveState(ran);
+  SnapshotWriter twinRan;
+  twin.saveState(twinRan);
+  sysB.saveState(twinRan);
+  EXPECT_EQ(ran.payload(), twinRan.payload());
 }
 
 TEST(SnapshotInput, SequentialEngineFramesV2AndV3StillLoad) {
