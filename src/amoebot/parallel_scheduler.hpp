@@ -19,11 +19,11 @@
 /// so the halo is 2 columns and the anchor is the tail.  A particle close
 /// enough to the window edge that an expansion could force a plane regrow
 /// (AmoebotSystem::shardSafe) is deferred to the sweep too.  Each event
-/// draws its activation coins from the stream of the stripe (or sweep)
-/// that runs it.  An activation writes only plane words within distance 1
-/// of its tail and its own particle's state, so the kernel needs no
-/// pre-phase.  tests/local_golden_test.cpp pins the trajectory across
-/// thread counts.
+/// draws its activation coins from the coin stream of the stripe that runs
+/// it (or the sweep's stream).  An activation writes only plane words
+/// within distance 1 of its tail and its own particle's state, so the
+/// kernel needs no pre-phase.  tests/local_golden_test.cpp pins the
+/// trajectory across thread counts.
 
 #include <cstdint>
 
@@ -102,6 +102,9 @@ class ShardedPoissonRunner {
   }
   [[nodiscard]] TriPoint anchor(std::uint32_t i) const noexcept {
     return sys_.particle(i).tail;
+  }
+  void prefetch(std::uint32_t i) const noexcept {
+    __builtin_prefetch(&sys_.particle(i));
   }
   [[nodiscard]] bool stripeSafe(TriPoint tail) const noexcept {
     return sys_.shardSafe(tail);

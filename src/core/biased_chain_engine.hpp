@@ -155,7 +155,7 @@ template <typename Model>
 /// verbatim by BiasedChainEngine::step() (which selects the particle
 /// uniformly from its single RNG) and ShardedChainRunner (which selects it
 /// by its stripe's superposed Poisson clock and draws from that stripe's
-/// stream).
+/// coin stream).
 /// Updates system/model/ids, adds an accepted movement's e-delta to
 /// `edges`, and draws the Metropolis uniform lazily from `rng`.  Outcome
 /// accounting is left to the caller so stripe workers can tally locally.

@@ -14,7 +14,8 @@
 /// exactly one Metropolis proposal of the engine's weight model, and the
 /// per-event body is the *same* chainEventStep() the sequential engine
 /// runs, drawing (aux coin, direction/orientation, Metropolis uniform)
-/// from the stream of the stripe (or sweep) that runs the event.
+/// from the coin stream of the stripe that runs the event (or the sweep's
+/// stream).
 ///
 /// **Kernel.**  One event of a particle at column c reads within
 /// Model::kInteractionRadius columns of c and writes within radius − 1, so
@@ -208,6 +209,9 @@ class ShardedChainRunner {
   }
   [[nodiscard]] TriPoint anchor(std::uint32_t i) const noexcept {
     return system_.position(i);
+  }
+  void prefetch(std::uint32_t i) const noexcept {
+    __builtin_prefetch(system_.positions().data() + i);
   }
   /// Window-edge and (pair-move models) id-plane coverage; lookups and id
   /// moves reach distance ≤ 1.  Both directories are immutable during the

@@ -10,9 +10,11 @@
 /// correlation.
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 
 #include "rng/xoshiro.hpp"
+#include "rng/ziggurat_tables.hpp"
 #include "util/assert.hpp"
 #include "util/mix.hpp"
 
@@ -41,15 +43,62 @@ template <typename Engine>
   return (static_cast<double>(engine() >> 11) + 1.0) * 0x1.0p-53;
 }
 
-/// Exponential with the given rate (mean 1/rate); used by Poisson clocks.
-/// Divides by rate (rather than multiplying by a cached reciprocal) so the
-/// heterogeneous-rate draws stay bit-identical to the historical
-/// `Random::exponential` results.
+/// Exponential with the given rate (mean 1/rate) by inversion: one libm
+/// log() per draw.  Behind Random::exponential (the event-queue scheduler
+/// of amoebot/scheduler.cpp) and the per-particle clock bank of
+/// stream_bank.hpp; the sharded runners draw their gaps with
+/// drawStandardExponential instead.  Divides by rate (rather than
+/// multiplying by a cached reciprocal) so the heterogeneous-rate draws
+/// stay bit-identical to the historical `Random::exponential` results.
 template <typename Engine>
 [[nodiscard]] double drawExponential(Engine& engine,
                                      double rate = 1.0) noexcept {
   SOPS_DASSERT(rate > 0.0);
   return -std::log(drawUniformPositive(engine)) / rate;
+}
+
+namespace detail {
+
+/// The ziggurat's rare branches, kept out of line so the fast path inlines
+/// small: `layer` and `x` are the rejected first try.  The wedge of layer
+/// i ≥ 1 accepts x under e^{-x} with one more uniform, else the draw
+/// starts over; the base layer's overhang is the tail, r + Exp(1).
+template <typename Engine>
+[[gnu::noinline, gnu::cold]] double exponentialZigguratSlow(
+    Engine& engine, std::size_t layer, double x) noexcept {
+  for (;;) {
+    if (layer == 0) {
+      return kExponentialZigguratX[1] -
+             std::log(drawUniformPositive(engine));
+    }
+    const double low = kExponentialZigguratF[layer];
+    const double high = kExponentialZigguratF[layer + 1];
+    if (low + drawUniform(engine) * (high - low) < std::exp(-x)) return x;
+    const std::uint64_t u = engine();
+    layer = u & (kZigguratLayers - 1);
+    const std::uint64_t j = u >> 11;
+    x = static_cast<double>(j) * kExponentialZigguratLayers[layer].w;
+    if (j < kExponentialZigguratLayers[layer].k) return x;
+  }
+}
+
+}  // namespace detail
+
+/// Exp(1) by the 256-layer exponential ziggurat (rng/ziggurat_tables.hpp):
+/// one 64-bit word gives the layer (low 8 bits) and a 53-bit abscissa
+/// (high 53 bits), and 97.8 % of draws end at one integer compare and one
+/// multiply, with no libm call.  The rest go to the wedge and tail
+/// branches, which call exp() or log().  Scale by 1/rate for other rates.
+template <typename Engine>
+[[nodiscard, gnu::always_inline]] inline double drawStandardExponential(
+    Engine& engine) noexcept {
+  const std::uint64_t u = engine();
+  const std::size_t layer = u & (kZigguratLayers - 1);
+  const std::uint64_t j = u >> 11;
+  const double x =
+      static_cast<double>(j) * kExponentialZigguratLayers[layer].w;
+  if (j < kExponentialZigguratLayers[layer].k) [[likely]] return x;
+  return detail::exponentialZigguratSlow(engine, layer, x);
 }
 
 /// Uniform integer in [0, bound).  Uses Lemire's multiply-shift rejection
@@ -121,9 +170,15 @@ class Random {
   /// Bernoulli(p) draw.
   bool bernoulli(double p) noexcept { return uniform() < p; }
 
-  /// Exponential with the given rate (mean 1/rate); used by Poisson clocks.
+  /// Exponential with the given rate (mean 1/rate), by inversion (see
+  /// drawExponential).
   double exponential(double rate = 1.0) noexcept {
     return drawExponential(engine_, rate);
+  }
+
+  /// Exp(1) by the ziggurat (see drawStandardExponential).
+  double standardExponential() noexcept {
+    return drawStandardExponential(engine_);
   }
 
   /// Fisher-Yates shuffle of a random-access container.
@@ -173,9 +228,10 @@ class Random {
 
 /// The stream of one (epoch, key) pair under a master seed — all the
 /// randomness of the sharded runners (core/stripe_epoch_executor.hpp): in
-/// each epoch every active stripe draws its superposed clock, member
-/// picks and event coins from the stream keyed by its stripe index, and
-/// the deferred sweep from one more key.  (seed, epoch, key) is folded
+/// each epoch every active stripe draws its superposed clock (gaps, member
+/// picks, thinning coins) from the stream keyed by its stripe index and
+/// its interior events' coins from a second key, and the deferred sweep
+/// draws from one more key.  (seed, epoch, key) is folded
 /// through util::mix64 one word at a time, so every draw is a pure
 /// function of (seed, epoch, key, draw index) and distinct pairs seed
 /// decorrelated generators.  Creating one costs a few multiplies, so a

@@ -210,7 +210,7 @@ TEST(ShardedRunner, TrajectoryIndependentOfThreadCount) {
   EXPECT_EQ(one.tails, eight.tails);
   EXPECT_EQ(one.activations, eight.activations);
   // Cross-commit golden: trajectory and both snapshot byte layouts.
-  EXPECT_EQ(one.snapshotChecksum, 0x4c0847bf48a93ee8ull);
+  EXPECT_EQ(one.snapshotChecksum, 0x4434b7f762bb16d0ull);
   EXPECT_EQ(three.snapshotChecksum, one.snapshotChecksum);
   EXPECT_EQ(eight.snapshotChecksum, one.snapshotChecksum);
   // The line spans several 64-column stripes, so both execution paths must

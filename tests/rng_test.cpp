@@ -1,14 +1,18 @@
 // Tests for the deterministic RNG substrate (S2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "rng/random.hpp"
 #include "rng/stream_bank.hpp"
 #include "rng/xoshiro.hpp"
+#include "rng/ziggurat_tables.hpp"
 #include "util/assert.hpp"
 
 namespace sops::rng {
@@ -160,6 +164,131 @@ TEST(Random, ShuffleIsNotIdentityUsually) {
   std::vector<int> shuffled = v;
   rng.shuffle(shuffled);
   EXPECT_NE(shuffled, v);
+}
+
+// --- Exponential ziggurat ------------------------------------------------
+// rng::drawStandardExponential replaces -log(u) in the stripe clocks, so
+// its law is pinned here: the draws against Exp(1), each rare branch
+// reached and right, and the hex-float tables against the recurrence.
+
+/// An engine that counts the 64-bit words drawn from it: a fast-path draw
+/// takes one word, a wedge or tail draw more.
+struct CountingEngine {
+  using result_type = std::uint64_t;
+  Xoshiro256PlusPlus engine;
+  std::uint64_t words = 0;
+  result_type operator()() noexcept {
+    ++words;
+    return engine();
+  }
+};
+
+TEST(Ziggurat, StandardExponentialPassesKolmogorovSmirnov) {
+  // Pre-registered: 10^6 draws, fail when √n·D exceeds 1.95, the
+  // asymptotic Kolmogorov critical value at α = 0.001.
+  Random rng(2024);
+  constexpr std::size_t kDraws = 1000000;
+  std::vector<double> draws(kDraws);
+  for (double& x : draws) x = rng.standardExponential();
+  std::sort(draws.begin(), draws.end());
+  EXPECT_GE(draws.front(), 0.0);
+  double d = 0.0;
+  for (std::size_t i = 0; i < kDraws; ++i) {
+    const double cdf = -std::expm1(-draws[i]);
+    d = std::max({d, static_cast<double>(i + 1) / kDraws - cdf,
+                  cdf - static_cast<double>(i) / kDraws});
+  }
+  EXPECT_LT(std::sqrt(static_cast<double>(kDraws)) * d, 1.95);
+}
+
+TEST(Ziggurat, TailAndWedgeBranchesAreReached) {
+  // Only the tail returns x ≥ r, and a draw below r that took more than
+  // one word went through a wedge.  Given X > r, X − r is Exp(1), so the
+  // tail's mean is r + 1 with standard error 1/√tail; the share of
+  // one-word draws is Σ k_i / 2^61.  Both bounds are 5 standard errors,
+  // fixed in advance.
+  CountingEngine engine{Xoshiro256PlusPlus(77), 0};
+  const double r = kExponentialZigguratX[1];
+  constexpr int kDraws = 4000000;
+  std::uint64_t fast = 0;
+  std::uint64_t wedge = 0;
+  std::uint64_t tail = 0;
+  double tailSum = 0.0;
+  for (int k = 0; k < kDraws; ++k) {
+    const std::uint64_t before = engine.words;
+    const double x = drawStandardExponential(engine);
+    const std::uint64_t words = engine.words - before;
+    if (x >= r) {
+      ++tail;
+      tailSum += x;
+    } else if (words > 1) {
+      ++wedge;
+    } else {
+      ++fast;
+    }
+  }
+  EXPECT_GT(wedge, 0u);
+  ASSERT_GT(tail, 0u);
+  EXPECT_NEAR(tailSum / static_cast<double>(tail), r + 1.0,
+              5.0 / std::sqrt(static_cast<double>(tail)));
+
+  double fastShare = 0.0;
+  for (const ZigguratLayer& layer : kExponentialZigguratLayers) {
+    fastShare += static_cast<double>(layer.k) * 0x1.0p-61;
+  }
+  EXPECT_NEAR(fastShare, 0.978, 0.001);
+  const double observed = static_cast<double>(fast) / kDraws;
+  EXPECT_NEAR(observed, fastShare,
+              5.0 * std::sqrt(fastShare * (1.0 - fastShare) / kDraws));
+}
+
+/// Distance in units in the last place between two finite doubles of the
+/// same sign.
+std::uint64_t ulpDistance(double a, double b) {
+  const auto ia = std::bit_cast<std::int64_t>(a);
+  const auto ib = std::bit_cast<std::int64_t>(b);
+  return static_cast<std::uint64_t>(ia > ib ? ia - ib : ib - ia);
+}
+
+TEST(Ziggurat, TablesMatchTheRecurrence) {
+  // Recomputes x_0 … x_256 from x_1 = r, v = (r + 1)e^{-r} and
+  // x_{i+1} = −log(e^{-x_i} + v / x_i) in extended precision.
+  if (std::numeric_limits<long double>::digits < 64) {
+    GTEST_SKIP() << "needs a 64-bit long double mantissa";
+  }
+  const long double r = 7.697117470131049714044628048L;
+  const long double v = (r + 1.0L) * std::exp(-r);
+  std::array<long double, kZigguratLayers + 1> x{};
+  x[0] = v * std::exp(r);
+  x[1] = r;
+  for (std::size_t i = 1; i + 1 < kZigguratLayers; ++i) {
+    x[i + 1] = -std::log(std::exp(-x[i]) + v / x[i]);
+  }
+  // r is the root at which the recurrence closes at 0.
+  const long double last = kZigguratLayers - 1;
+  EXPECT_LT(std::fabs(std::log(std::exp(-x[last]) + v / x[last])), 1e-12L);
+  x[kZigguratLayers] = 0.0L;
+
+  for (std::size_t i = 0; i <= kZigguratLayers; ++i) {
+    EXPECT_LE(ulpDistance(kExponentialZigguratX[i],
+                          static_cast<double>(x[i])),
+              2u)
+        << "x_" << i;
+    EXPECT_LE(ulpDistance(kExponentialZigguratF[i],
+                          static_cast<double>(std::exp(-x[i]))),
+              2u)
+        << "f_" << i;
+  }
+  for (std::size_t i = 0; i < kZigguratLayers; ++i) {
+    const long double k = std::floor(x[i + 1] / x[i] * 0x1.0p53L);
+    EXPECT_LE(std::fabs(k - static_cast<long double>(
+                                kExponentialZigguratLayers[i].k)),
+              1.0L)
+        << "k_" << i;
+    EXPECT_EQ(kExponentialZigguratLayers[i].w,
+              kExponentialZigguratX[i] * 0x1.0p-53)
+        << "w_" << i;
+  }
 }
 
 // --- SoA stream banks --------------------------------------------------

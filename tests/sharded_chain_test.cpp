@@ -118,7 +118,7 @@ TEST(ShardedChain, CompressionTrajectoryIndependentOfThreadCount) {
     ShardedChainRunner<CompressionModel> runner(
         system::lineConfiguration(300), CompressionModel(options), 9001,
         sharded);
-    signatures.push_back(runAndCheck(runner, 120000, 0x2ba3b9f0a3d0872eull));
+    signatures.push_back(runAndCheck(runner, 120000, 0x4760a949648f9e03ull));
     EXPECT_GT(signatures.back().sweepEvents, 0u);
     EXPECT_LT(signatures.back().sweepEvents, signatures.back().steps);
   }
@@ -140,7 +140,7 @@ TEST(ShardedChain, SeparationTrajectoryIndependentOfThreadCount) {
         system::lineConfiguration(300),
         SeparationModel(options, system::alternatingClasses(300, 2)), 9007,
         sharded);
-    signatures.push_back(runAndCheck(runner, 120000, 0x42da7692cce2777cull));
+    signatures.push_back(runAndCheck(runner, 120000, 0x23c4c1c89747489eull));
     colorings.push_back(runner.model().colors());
     EXPECT_GT(runner.stats().auxAccepted, 0u);  // swaps actually exercised
   }
@@ -163,7 +163,7 @@ TEST(ShardedChain, AlignmentTrajectoryIndependentOfThreadCount) {
         system::lineConfiguration(300),
         AlignmentModel(options, system::alternatingClasses(300, 6)), 9011,
         sharded);
-    signatures.push_back(runAndCheck(runner, 120000, 0x01a5afce831ca41aull));
+    signatures.push_back(runAndCheck(runner, 120000, 0x580b6d1248ebae4cull));
     orientations.push_back(runner.model().orientations());
     EXPECT_GT(runner.stats().auxAccepted, 0u);  // rotations exercised
   }

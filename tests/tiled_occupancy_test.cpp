@@ -330,7 +330,7 @@ TEST(TiledTrajectory, ShardedTiledIndependentOfThreadCount) {
     // Cross-commit golden: trajectory and snapshot byte layout.
     system::SnapshotWriter w;
     runner.saveState(w);
-    EXPECT_EQ(system::snapshotChecksum(w.payload()), 0x61da7e4c5f45803dull)
+    EXPECT_EQ(system::snapshotChecksum(w.payload()), 0x17e137645f2df6aaull)
         << threads;
   }
   for (std::size_t i = 1; i < signatures.size(); ++i) {
@@ -361,7 +361,7 @@ TEST(TiledTrajectory, ShardedCompressionTiledIndependentOfThreadCount) {
     // Cross-commit golden: trajectory and snapshot byte layout.
     system::SnapshotWriter w;
     runner.saveState(w);
-    EXPECT_EQ(system::snapshotChecksum(w.payload()), 0xb1e7f7301fce5270ull)
+    EXPECT_EQ(system::snapshotChecksum(w.payload()), 0xdb700665408be1bdull)
         << threads;
   }
   for (std::size_t i = 1; i < signatures.size(); ++i) {
@@ -417,7 +417,7 @@ TEST(TiledTrajectory, AmoebotShardedTiledIndependentOfThreadCount) {
     system::SnapshotWriter w;
     sys.saveState(w);
     runner.saveState(w);
-    EXPECT_EQ(system::snapshotChecksum(w.payload()), 0x3ba4edf2b355bad1ull)
+    EXPECT_EQ(system::snapshotChecksum(w.payload()), 0x5624a3db3d1f9fd5ull)
         << threads;
     Outcome outcome;
     for (std::size_t id = 0; id < sys.size(); ++id) {
