@@ -367,9 +367,13 @@ class StripeEpochExecutor {
   /// The stripe phase of one slot, on a worker thread: walks the stripe's
   /// superposed clock over [now, epochEnd) a batch at a time, executes
   /// interior events as they ring and defers the rest.  Touches only this
-  /// stripe's plane words, its own streams and its own slot.
-  void runStripe(Kernel& kernel, Slot& slot, std::uint64_t stripe,
-                 std::int64_t originX, double epochEnd) {
+  /// stripe's plane words, its own streams and its own slot.  Flattened so
+  /// the event body (chainEventStep for the chain runner) inlines here
+  /// even where GCC keeps an out-of-line copy for other callers; the
+  /// sequential engine's own call sites are left to the inliner.
+  [[gnu::flatten]] void runStripe(Kernel& kernel, Slot& slot,
+                                 std::uint64_t stripe, std::int64_t originX,
+                                 double epochEnd) {
     slot.deferred.clear();
     slot.rings = 0;
     slot.tally = Tally{};
