@@ -75,9 +75,15 @@ class AdaptiveEpochController {
     return target_;
   }
 
+  /// Whether `target` lies in this controller's bounds, so setTarget
+  /// accepts it: a snapshot restore checks this before it commits.
+  [[nodiscard]] bool admits(std::uint64_t target) const noexcept {
+    return target >= minTarget_ && target <= maxTarget_;
+  }
+
   /// Snapshot restore: the target is history-dependent state.
   void setTarget(std::uint64_t target) {
-    SOPS_REQUIRE(target >= minTarget_ && target <= maxTarget_,
+    SOPS_REQUIRE(admits(target),
                  "AdaptiveEpochController: restored target out of range");
     target_ = target;
   }

@@ -242,7 +242,8 @@ class StripeEpochExecutor {
   /// clock the runner read from its prefix, and `particles` the particle
   /// count of the restored system, which must be the count this executor
   /// was built for.  restoreState(const SavedState&) then adopts it, once
-  /// the runner has checked the rest of its frame.
+  /// the runner has checked the rest of its frame; it cannot throw on a
+  /// state this accepted.
   [[nodiscard]] SavedState readState(system::SnapshotReader& r, double now,
                                      std::size_t particles) const {
     SOPS_REQUIRE(particles == particles_,
@@ -255,6 +256,9 @@ class StripeEpochExecutor {
     SOPS_REQUIRE(adaptive_ || state.epochTarget == epochTarget_,
                  "snapshot: fixed epoch target does not match the "
                  "runner's options");
+    SOPS_REQUIRE(!adaptive_ || controller_.admits(state.epochTarget),
+                 "snapshot: epoch target outside the adaptive controller's "
+                 "bounds");
     return state;
   }
 

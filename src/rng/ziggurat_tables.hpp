@@ -17,13 +17,15 @@
 /// and r = 7.6971174701310497140… is the root at which it closes with
 /// x_256 = 0.  kExponentialZigguratX holds x_0 … x_256 and
 /// kExponentialZigguratF holds e^{-x_i}, each rounded to nearest from a
-/// 300-bit evaluation of the recurrence, and kExponentialZigguratK the
-/// fast-path bounds from the same evaluation.  They are literals (the
-/// doubles in hex-float), so the tables — and every draw that takes the
-/// fast path — are the same bits on every platform, whatever its libm.
-/// tests/rng_test.cpp recomputes all three from the recurrence.
+/// 300-bit evaluation of the recurrence.  They are literals (the doubles
+/// in hex-float), and the fast-path bounds are computed from X in exact
+/// integer arithmetic, so the tables — and every draw that takes the fast
+/// path — are the same bits on every platform, whatever its libm.
+/// tests/rng_test.cpp recomputes X and F from the recurrence and checks
+/// each bound exactly against X.
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -211,79 +213,39 @@ inline constexpr std::array<double, kZigguratLayers + 1>
         0x1.e0545e5881137p-1, 0x1.0000000000000p+0,
 };
 
-/// k_i = ⌊2^53·x_{i+1}/x_i⌋ from the same 300-bit evaluation: a 53-bit
-/// abscissa j in layer i lies under the layer above exactly when j < k_i.
-inline constexpr std::array<std::uint64_t, kZigguratLayers>
-    kExponentialZigguratK = {
-        0x1c5214272497c7, 0x1cdb4dd9e4e8c0, 0x1dddf62bac0bb1, 0x1e5961c78b267c,
-        0x1ea2a61e122db1, 0x1ed38ca188151e, 0x1ef6aefa57cbe7, 0x1f113e047b0414,
-        0x1f26143450340a, 0x1f36e5a38a59a2, 0x1f44c7665c6fdb, 0x1f50724ece1172,
-        0x1f5a66904fe3c4, 0x1f630000a8e267, 0x1f6a8234b7352b, 0x1f71200f1a241c,
-        0x1f7700a3582acc, 0x1f7c427839e926, 0x1f80fdc336039b, 0x1f8545f904db8f,
-        0x1f892aec479607, 0x1f8cb99e7385f8, 0x1f8ffcda9ae41d, 0x1f92fda9cef1f3,
-        0x1f95c3abd03f79, 0x1f98555b782fb9, 0x1f9ab84415abc5, 0x1f9cf12b79f9bd,
-        0x1f9f04336bbe0b, 0x1fa0f4f47df315, 0x1fa2c693c5c095, 0x1fa47bd48bea00,
-        0x1fa61726d1f214, 0x1fa79ab3508d3d, 0x1fa908656f66a2, 0x1faa61f399ff28,
-        0x1faba8e640060b, 0x1facde9dbf2d73, 0x1fae045767e105, 0x1faf1b31c479a7,
-        0x1fb0243042e1c2, 0x1fb1203e5a9604, 0x1fb21032442853, 0x1fb2f4cf539c3f,
-        0x1fb3cec803e747, 0x1fb49ebfbf69d2, 0x1fb5654c6f37e1, 0x1fb622f7d96943,
-        0x1fb6d840d55594, 0x1fb7859c5b895c, 0x1fb82b76765b54, 0x1fb8ca33174a17,
-        0x1fb9622ed4abfc, 0x1fb9f3bf92b619, 0x1fba7f351a70ad, 0x1fbb04d9a0d18d,
-        0x1fbb84f23fe6a2, 0x1fbbffbf63b7aa, 0x1fbc757d2c4de5, 0x1fbce663c6201b,
-        0x1fbd52a7b9f826, 0x1fbdba7a354408, 0x1fbe1e094ba614, 0x1fbe7d80327ddb,
-        0x1fbed907770cc6, 0x1fbf30c52fc60b, 0x1fbf84dd29488f, 0x1fbfd5710f72b9,
-        0x1fc022a092f365, 0x1fc06c898baff1, 0x1fc0b348184da4, 0x1fc0f6f6bb2415,
-        0x1fc137ae74d6b7, 0x1fc17586dccd10, 0x1fc1b09637bb3c, 0x1fc1e8f18c6756,
-        0x1fc21eacb6d39e, 0x1fc251da79f164, 0x1fc2828c8ffcf0, 0x1fc2b0d3b99f9e,
-        0x1fc2dcbfcbf263, 0x1fc3065fbd7888, 0x1fc32dc1b22819, 0x1fc352f3069371,
-        0x1fc376005a4593, 0x1fc396f599614c, 0x1fc3b5de0591b4, 0x1fc3d2c43e593c,
-        0x1fc3edb248cb62, 0x1fc406b196bbf7, 0x1fc41dcb0d6e0e, 0x1fc433070bcb99,
-        0x1fc4466d702e21, 0x1fc458059dc037, 0x1fc467d6817e83, 0x1fc475e696dee6,
-        0x1fc4823bec237a, 0x1fc48cdc265ec1, 0x1fc495cc852df5, 0x1fc49d11e62de3,
-        0x1fc4a2b0c82e75, 0x1fc4a6ad4e28a0, 0x1fc4a90b41fa34, 0x1fc4a9ce16ea9f,
-        0x1fc4a8f8ebfb8c, 0x1fc4a68e8e07fc, 0x1fc4a29179b433, 0x1fc49d03dd30b1,
-        0x1fc495e799d21b, 0x1fc48d3e457ff6, 0x1fc483092bfbb9, 0x1fc477495001b2,
-        0x1fc469ff6c4504, 0x1fc45b2bf447e8, 0x1fc44acf15112a, 0x1fc438e8b5bfc7,
-        0x1fc4257877fd68, 0x1fc4107db85061, 0x1fc3f9f78e4da8, 0x1fc3e1e4ccab40,
-        0x1fc3c844013349, 0x1fc3ad137497fa, 0x1fc390512a2887, 0x1fc371fadf66f8,
-        0x1fc3520e0b7ec7, 0x1fc33087de9c0f, 0x1fc30d654122ed, 0x1fc2e8a2d2c6b4,
-        0x1fc2c23ce98046, 0x1fc29a2f90630f, 0x1fc27076864fc2, 0x1fc2450d3c83ff,
-        0x1fc217eed505de, 0x1fc1e91620ea43, 0x1fc1b87d9e74b4, 0x1fc1861f770f4b,
-        0x1fc151f57d1943, 0x1fc11bf9298a64, 0x1fc0e42399698a, 0x1fc0aa6d8b1427,
-        0x1fc06ecf5b54b3, 0x1fc03141024589, 0x1fbff1ba0ffdb0, 0x1fbfb031a904c4,
-        0x1fbf6c9e828ae3, 0x1fbf26f6de6175, 0x1fbedf3086b128, 0x1fbe9540c9695f,
-        0x1fbe491c7364de, 0x1fbdfab7cb3f41, 0x1fbdaa068bd66b, 0x1fbd56fbde729c,
-        0x1fbd018a548f9f, 0x1fbca9a3e140d5, 0x1fbc4f39d22995, 0x1fbbf23cc8029e,
-        0x1fbb929caea4e2, 0x1fbb3048b49145, 0x1fbacb2f41ec17, 0x1fba633deee286,
-        0x1fb9f861796f27, 0x1fb98a85ba7204, 0x1fb919959a0f74, 0x1fb8a57b0347f6,
-        0x1fb82e1ed6ba09, 0x1fb7b368dc7da8, 0x1fb7353fb50799, 0x1fb6b388c9010a,
-        0x1fb62e2837fe59, 0x1fb5a500c5fdaa, 0x1fb517f3c793fd, 0x1fb486e10cacd7,
-        0x1fb3f1a6c9be0c, 0x1fb358217f4e18, 0x1fb2ba2bdfa84b, 0x1fb2179eb2963a,
-        0x1fb17050b6f1fb, 0x1fb0c41681dff4, 0x1fb012c25b7a13, 0x1faf5c2418b07e,
-        0x1faea008f21d6d, 0x1fadde3b5782c1, 0x1fad1682bf9fe9, 0x1fac48a3740585,
-        0x1fab745e588232, 0x1faa9970adb858, 0x1fa9b793ce5fef, 0x1fa8ce7ce6a875,
-        0x1fa7dddca51ec4, 0x1fa6e55ee46783, 0x1fa5e4aa4d097d, 0x1fa4db5fee6aa3,
-        0x1fa3c91ace0683, 0x1fa2ad6f6bc4fc, 0x1fa187eb3a3339, 0x1fa058140936c0,
-        0x1f9f1d6761a1ce, 0x1f9dd759cfd803, 0x1f9c85561b717a, 0x1f9b26bc697f00,
-        0x1f99bae146ba81, 0x1f98410c968892, 0x1f96b878633892, 0x1f95204f8b64db,
-        0x1f9377ac47afd8, 0x1f91bd968358e1, 0x1f8ff102013e17, 0x1f8e10cc45d04a,
-        0x1f8c1bba3d39ad, 0x1f8a10759374fa, 0x1f87ed89b24262, 0x1f85b16056b913,
-        0x1f835a3dad9162, 0x1f80e63be21139, 0x1f7e5346079f8a, 0x1f7b9f12413ff5,
-        0x1f78c71b045cc0, 0x1f75c8974d09d7, 0x1f72a07190f13a, 0x1f6f4b3d32e4f4,
-        0x1f6bc52a2b02e7, 0x1f6809f6859679, 0x1f6414dd445772, 0x1f5fe08210d08c,
-        0x1f5b66d9099996, 0x1f56a109c3ecc0, 0x1f51874c5c3322, 0x1f4c10bf1d3a0f,
-        0x1f463332d788fb, 0x1f3fe2eb6e694c, 0x1f39125157c106, 0x1f31b18fb95532,
-        0x1f29ae1951a874, 0x1f20f20c452571, 0x1f176369f1f77a, 0x1f0ce313a796b7,
-        0x1f014b76ddd4a4, 0x1ef46eca361cd0, 0x1ee614ae6e5688, 0x1ed5f6f08799ce,
-        0x1ec3bd07b46557, 0x1eaef5b14ef09e, 0x1e970daf08ae3e, 0x1e7b42096f046c,
-        0x1e5a8b177cb7a3, 0x1e337b71d47837, 0x1e0409dfac9dc9, 0x1dc934dd172c71,
-        0x1d7e5bd56b18b3, 0x1d1bfe2d5c3973, 0x1c951d0f88651b, 0x1bd127f719447c,
-        0x1a9bb7320eb0ae, 0x186ef58e3f3c10, 0x137d5bd79c317f, 0x00000000000000,
-};
+/// ⌊2^53·b/a⌋ for normal doubles a/2 ≤ b < a (or b = 0), exact: long
+/// division of the 53-bit significands.  With k = ⌊2^53·x_{i+1}/x_i⌋,
+/// every 53-bit abscissa j < k of layer i has j·x_i < 2^53·x_{i+1}, i.e.
+/// lies under the layer above (in layer 0: below r); j = k, which may
+/// too, goes to the slow path.
+[[nodiscard]] constexpr std::uint64_t zigguratFastBound(double a,
+                                                        double b) noexcept {
+  if (b == 0.0) return 0;
+  constexpr std::uint64_t kHidden = std::uint64_t{1} << 52;
+  const auto bitsA = std::bit_cast<std::uint64_t>(a);
+  const auto bitsB = std::bit_cast<std::uint64_t>(b);
+  const std::uint64_t divisor = (bitsA & (kHidden - 1)) | kHidden;
+  std::uint64_t remainder = (bitsB & (kHidden - 1)) | kHidden;
+  // 2^53·b/a = (significand ratio)·2^shift, with shift in [52, 53].
+  const int shift = 53 + static_cast<int>(bitsB >> 52) -
+                    static_cast<int>(bitsA >> 52);
+  std::uint64_t quotient = remainder / divisor;
+  remainder %= divisor;
+  for (int bit = 0; bit < shift; ++bit) {
+    remainder <<= 1;
+    quotient <<= 1;
+    if (remainder >= divisor) {
+      remainder -= divisor;
+      quotient |= 1;
+    }
+  }
+  return quotient;
+}
 
-/// The fast-path entry of one layer: a 53-bit draw j lands inside the
-/// layer's fully covered part exactly when j < k, and then j·w is the
-/// variate.  w = x_i·2^-53 is an exact power-of-two scaling.
+/// The fast-path entry of one layer: a 53-bit draw j with j < k lands
+/// inside the layer's fully covered part, and then j·w is the variate.
+/// k = ⌊2^53·x_{i+1}/x_i⌋ on the doubles above, and w = x_i·2^-53 is an
+/// exact power-of-two scaling.
 struct ZigguratLayer {
   std::uint64_t k;
   double w;
@@ -293,7 +255,8 @@ alignas(64) inline constexpr std::array<ZigguratLayer, kZigguratLayers>
     kExponentialZigguratLayers = [] {
       std::array<ZigguratLayer, kZigguratLayers> layers{};
       for (std::size_t i = 0; i < kZigguratLayers; ++i) {
-        layers[i] = {kExponentialZigguratK[i],
+        layers[i] = {zigguratFastBound(kExponentialZigguratX[i],
+                                       kExponentialZigguratX[i + 1]),
                      kExponentialZigguratX[i] * 0x1.0p-53};
       }
       return layers;

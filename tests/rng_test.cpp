@@ -279,11 +279,20 @@ TEST(Ziggurat, TablesMatchTheRecurrence) {
               2u)
         << "f_" << i;
   }
+  // k_i = ⌊2^53·x_{i+1}/x_i⌋ on the doubles of the table, checked
+  // exactly: k·x_i ≤ 2^53·x_{i+1} < (k + 1)·x_i, each side's sign from
+  // one fused multiply-add (k + 1 ≤ 2^53 and 2^53·x are exact doubles).
   for (std::size_t i = 0; i < kZigguratLayers; ++i) {
-    const long double k = std::floor(x[i + 1] / x[i] * 0x1.0p53L);
-    EXPECT_LE(std::fabs(k - static_cast<long double>(
-                                kExponentialZigguratLayers[i].k)),
-              1.0L)
+    const double k = static_cast<double>(kExponentialZigguratLayers[i].k);
+    const double scaled = 0x1.0p53 * kExponentialZigguratX[i + 1];
+    EXPECT_LE(std::fma(k, kExponentialZigguratX[i], -scaled), 0.0)
+        << "k_" << i;
+    EXPECT_GT(std::fma(k + 1.0, kExponentialZigguratX[i], -scaled), 0.0)
+        << "k_" << i;
+    // Within 2 of the bound on the real-valued x, from which the doubles
+    // are rounded.
+    const long double exact = std::floor(x[i + 1] / x[i] * 0x1.0p53L);
+    EXPECT_LE(std::fabs(exact - static_cast<long double>(k)), 2.0L)
         << "k_" << i;
     EXPECT_EQ(kExponentialZigguratLayers[i].w,
               kExponentialZigguratX[i] * 0x1.0p-53)

@@ -478,6 +478,18 @@ TEST(SnapshotInput, ChainRejectedRestoreLeavesRunnerUnchanged) {
   expectRejectedFramesLeaveRunnerUnchanged(
       runner, twin,
       {bigFrame.payload(), truncated(furtherFrame, 8), otherFrame.payload()});
+
+  // An adaptive runner (the default) keeps its target within
+  // [max(n/2, 1024), max(16n, 1024)], which is 1024 alone at n = 48, so
+  // the fixed 8192 of otherFrame is out of its range.
+  core::ShardedChainOptions adaptive;
+  adaptive.threads = 1;
+  auto adaptiveRunner = make(48, adaptive);
+  auto adaptiveTwin = make(48, adaptive);
+  adaptiveRunner.runAtLeast(1000);
+  adaptiveTwin.runAtLeast(1000);
+  expectRejectedFramesLeaveRunnerUnchanged(adaptiveRunner, adaptiveTwin,
+                                           {otherFrame.payload()});
 }
 
 TEST(SnapshotInput, SeparationRejectedRestoreLeavesRunnerUnchanged) {
@@ -529,36 +541,48 @@ TEST(SnapshotInput, AmoebotRunnerRejectedRestoreLeavesRunnerUnchanged) {
   };
   core::ShardedChainOptions otherTarget = sharded;
   otherTarget.targetEventsPerEpoch = 8192;
-  const std::vector<std::vector<std::uint8_t>> rejected = {
-      truncated(frameAfter(6000, sharded), 8),
-      frameAfter(6000, otherTarget).payload()};
+  const std::vector<std::uint8_t> otherFrame =
+      frameAfter(6000, otherTarget).payload();
 
-  rng::Random ctorA(5);
-  AmoebotSystem sysA(system::lineConfiguration(48), ctorA);
-  amoebot::ShardedPoissonRunner runner(sysA, algo, 5, sharded);
-  rng::Random ctorB(5);
-  AmoebotSystem sysB(system::lineConfiguration(48), ctorB);
-  amoebot::ShardedPoissonRunner twin(sysB, algo, 5, sharded);
-  runner.runAtLeast(1000);
-  twin.runAtLeast(1000);
-  for (std::size_t k = 0; k < rejected.size(); ++k) {
-    SnapshotReader r(rejected[k]);
-    EXPECT_THROW(runner.restoreState(r), ContractViolation) << "frame " << k;
-    EXPECT_EQ(runner.activations(), twin.activations()) << "frame " << k;
-    EXPECT_EQ(runner.sweepActivations(), twin.sweepActivations())
-        << "frame " << k;
-    EXPECT_EQ(runner.now(), twin.now()) << "frame " << k;
-    EXPECT_EQ(runner.epochTarget(), twin.epochTarget()) << "frame " << k;
-  }
-  runner.runAtLeast(3000);
-  twin.runAtLeast(3000);
-  SnapshotWriter ran;
-  runner.saveState(ran);
-  sysA.saveState(ran);
-  SnapshotWriter twinRan;
-  twin.saveState(twinRan);
-  sysB.saveState(twinRan);
-  EXPECT_EQ(ran.payload(), twinRan.payload());
+  const auto expectRejected =
+      [&](const core::ShardedChainOptions& o,
+          const std::vector<std::vector<std::uint8_t>>& rejected) {
+        rng::Random ctorA(5);
+        AmoebotSystem sysA(system::lineConfiguration(48), ctorA);
+        amoebot::ShardedPoissonRunner runner(sysA, algo, 5, o);
+        rng::Random ctorB(5);
+        AmoebotSystem sysB(system::lineConfiguration(48), ctorB);
+        amoebot::ShardedPoissonRunner twin(sysB, algo, 5, o);
+        runner.runAtLeast(1000);
+        twin.runAtLeast(1000);
+        for (std::size_t k = 0; k < rejected.size(); ++k) {
+          SnapshotReader r(rejected[k]);
+          EXPECT_THROW(runner.restoreState(r), ContractViolation)
+              << "frame " << k;
+          EXPECT_EQ(runner.activations(), twin.activations()) << "frame " << k;
+          EXPECT_EQ(runner.sweepActivations(), twin.sweepActivations())
+              << "frame " << k;
+          EXPECT_EQ(runner.now(), twin.now()) << "frame " << k;
+          EXPECT_EQ(runner.epochTarget(), twin.epochTarget())
+              << "frame " << k;
+        }
+        runner.runAtLeast(3000);
+        twin.runAtLeast(3000);
+        SnapshotWriter ran;
+        runner.saveState(ran);
+        sysA.saveState(ran);
+        SnapshotWriter twinRan;
+        twin.saveState(twinRan);
+        sysB.saveState(twinRan);
+        EXPECT_EQ(ran.payload(), twinRan.payload());
+      };
+  expectRejected(
+      sharded, {truncated(frameAfter(6000, sharded), 8), otherFrame});
+  // An adaptive runner (the default) holds its target at 1024 at n = 48,
+  // so the fixed 8192 is out of its range.
+  core::ShardedChainOptions adaptive;
+  adaptive.threads = 1;
+  expectRejected(adaptive, {otherFrame});
 }
 
 TEST(SnapshotInput, SequentialEngineFramesV2AndV3StillLoad) {
