@@ -27,11 +27,8 @@
 ///   void onMoved(sys, particle, from, to);           // sync aux planes
 ///   // only when kHasAuxMove:
 ///   bool auxEnabled() const;  double auxProbability() const;
-///   AuxOutcome auxStep(sys, ids, rng, particle, draw6);  // draws hoisted
-///   // optional: static constexpr bool kNeedsPartnerIds (default false) —
-///   // when true the engine maintains a cell→particle-id plane
-///   // (core/id_plane.hpp) in lockstep with accepted moves and passes it
-///   // to auxStep, so partner identity is one array load.
+///   AuxOutcome auxStep(sys, rng, particle, draw6);  // draws hoisted
+///   void serialize(w, sys) const;  void deserialize(r);  // snapshot
 ///
 /// For a kUniformWeight model the factor path compiles away entirely and
 /// the step body is exactly the paper's chain M: the golden tests
@@ -45,7 +42,7 @@
 /// disciplines cannot drift.  The whole contract above is enforced at
 /// compile time as the ChainWeightModel concept in
 /// core/model_contract.hpp, which also owns AuxOutcome and the
-/// ModelNeedsPartnerIds / ModelInteractionRadius traits.
+/// ModelInteractionRadius trait.
 
 #include <array>
 #include <cstdint>
@@ -56,7 +53,6 @@
 #include "core/chain_stats.hpp"
 #include "core/compression_chain.hpp"
 #include "core/draw_guard.hpp"
-#include "core/id_plane.hpp"
 #include "core/model_contract.hpp"
 #include "core/move_table.hpp"
 #include "rng/random.hpp"
@@ -133,22 +129,10 @@ struct EngineStepResult {
 template <typename Model>
   requires ChainWeightModel<Model>
 [[gnu::noinline]] void acceptMovement(system::ParticleSystem& sys,
-                                      Model& model, ParticleIdPlane& ids,
-                                      std::size_t particle, TriPoint from,
-                                      TriPoint to) {
+                                      Model& model, std::size_t particle,
+                                      TriPoint from, TriPoint to) {
   sys.moveParticle(particle, to);
   model.onMoved(sys, particle, from, to);
-  if constexpr (ModelNeedsPartnerIds<Model>::value) {
-    // A flat regrow inside moveParticle invalidates a Flat mirror; the
-    // geometry fingerprint catches it and resyncs.  A Paged plane keys
-    // absolute coordinates, so it tracks the move even when the grid just
-    // grew a tile.
-    if (ids.tracksMoves(sys.grid())) {
-      ids.move(from, to, particle);
-    } else {
-      ids.sync(sys);
-    }
-  }
 }
 
 /// One chain event, given the already-hoisted draws: the move body shared
@@ -156,13 +140,13 @@ template <typename Model>
 /// uniformly from its single RNG) and ShardedChainRunner (which selects it
 /// by its stripe's superposed Poisson clock and draws from that stripe's
 /// coin stream).
-/// Updates system/model/ids, adds an accepted movement's e-delta to
+/// Updates system and model, adds an accepted movement's e-delta to
 /// `edges`, and draws the Metropolis uniform lazily from `rng`.  Outcome
 /// accounting is left to the caller so stripe workers can tally locally.
 template <typename Model>
   requires ChainWeightModel<Model>
 inline EngineStepResult chainEventStep(
-    system::ParticleSystem& sys, Model& model, ParticleIdPlane& ids,
+    system::ParticleSystem& sys, Model& model,
     const std::array<MoveDecision, 256>& decisions, bool greedy,
     std::size_t particle, int draw6, bool auxMove, rng::Random& rng,
     std::int64_t& edges) {
@@ -170,7 +154,7 @@ inline EngineStepResult chainEventStep(
   if constexpr (Model::kHasAuxMove) {
     if (auxMove) {
       result.wasAux = true;
-      result.aux = model.auxStep(sys, ids, rng, particle, draw6);
+      result.aux = model.auxStep(sys, rng, particle, draw6);
       return result;
     }
   } else {
@@ -202,7 +186,7 @@ inline EngineStepResult chainEventStep(
         accept = threshold >= 1.0 || rng.uniform() < threshold;
       }
       if (accept) {
-        acceptMovement(sys, model, ids, particle, l, lattice::neighbor(l, d));
+        acceptMovement(sys, model, particle, l, lattice::neighbor(l, d));
         edges += decision.delta;
         outcome = StepOutcome::Accepted;
       } else {
@@ -230,7 +214,6 @@ class BiasedChainEngine {
     SOPS_REQUIRE(system::isConnected(system_),
                  "engine requires a connected starting configuration");
     model_.attach(system_);
-    if constexpr (kMaintainsIds) partnerIds_.sync(system_);
     edges_ = system::countEdges(system_);
     // The one fold of chain M's rules (core/compression_chain.hpp), shared
     // with ShardedChainRunner, so the ablation semantics cannot drift
@@ -253,8 +236,8 @@ class BiasedChainEngine {
     const auto particle =
         static_cast<std::size_t>(rng_.below(particleCount32_));
     const int draw6 = static_cast<int>(rng_.below(6));
-    result = chainEventStep(system_, model_, partnerIds_, decisions_, greedy_,
-                            particle, draw6, auxMove, rng_, edges_);
+    result = chainEventStep(system_, model_, decisions_, greedy_, particle,
+                            draw6, auxMove, rng_, edges_);
     if (result.wasAux) {
       if (result.aux != AuxOutcome::Skipped) ++stats_.auxProposed;
       if (result.aux == AuxOutcome::Accepted) ++stats_.auxAccepted;
@@ -308,10 +291,10 @@ class BiasedChainEngine {
   /// Serializes the engine's evolving state: system (with exact window
   /// geometry), model aux state, RNG engine state, outcome tallies, and
   /// the incrementally tracked e(σ).  Derived structures (decision table,
-  /// shadow planes, id plane) are rebuilt on restore.
+  /// shadow planes) are rebuilt on restore.
   void saveState(system::SnapshotWriter& w) const {
     system::writeParticleSystem(w, system_);
-    model_.serialize(w);
+    model_.serialize(w, system_);
     system::writeRandom(w, rng_);
     writeEngineStats(w, stats_);
     w.i64(edges_);
@@ -321,34 +304,30 @@ class BiasedChainEngine {
   /// (same model options/seed/greedy flag — the caller checks that; this
   /// cross-checks the restored e(σ) against a fresh recount so corrupt
   /// aux state cannot slip through; a snapshot of a different particle
-  /// count is rejected).  The restored engine continues the snapshotted
-  /// trajectory draw-for-draw.
+  /// count is rejected).  Everything is read and checked into locals
+  /// first, so a rejected frame leaves the engine exactly as it was.  The
+  /// restored engine continues the snapshotted trajectory draw-for-draw.
   void restoreState(system::SnapshotReader& r) {
     system::ParticleSystem restored = system::readParticleSystem(r);
     SOPS_REQUIRE(restored.size() == system_.size(),
                  "snapshot: particle count does not match the engine's");
-    system_ = std::move(restored);
-    model_.deserialize(r);
-    rng_ = system::readRandom(r);
-    stats_ = readEngineStats(r);
-    edges_ = r.i64();
-    particleCount32_ = checkedParticleDrawBound(system_.size());
-    model_.attach(system_);
-    if constexpr (kMaintainsIds) {
-      // The restored window geometry can equal the stale fingerprint
-      // (e.g. a run that never drifted out of its initial window), so a
-      // plain sync() would keep pre-restore ids.
-      partnerIds_.invalidate();
-      partnerIds_.sync(system_);
-    }
-    SOPS_REQUIRE(system::countEdges(system_) == edges_,
+    Model model = model_;
+    model.deserialize(r);
+    const rng::Random rng = system::readRandom(r);
+    const EngineStats stats = readEngineStats(r);
+    const std::int64_t edges = r.i64();
+    SOPS_REQUIRE(system::countEdges(restored) == edges,
                  "snapshot: restored edge count disagrees with the "
                  "configuration — corrupt or mismatched snapshot");
+    system_ = std::move(restored);
+    model_ = std::move(model);
+    rng_ = rng;
+    stats_ = stats;
+    edges_ = edges;
+    model_.attach(system_);
   }
 
  private:
-  static constexpr bool kMaintainsIds = ModelNeedsPartnerIds<Model>::value;
-
   system::ParticleSystem system_;
   Model model_;
   rng::Random rng_;
@@ -356,9 +335,6 @@ class BiasedChainEngine {
   std::int64_t edges_ = 0;
   std::uint32_t particleCount32_ = 0;
   bool greedy_ = false;
-  /// cell → id mirror for models that declare kNeedsPartnerIds; empty and
-  /// untouched otherwise.
-  ParticleIdPlane partnerIds_;
   std::array<MoveDecision, 256> decisions_;
 };
 

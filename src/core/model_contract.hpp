@@ -22,9 +22,7 @@
 ///   AuxMoveModel<M>       the auxiliary-move surface (swap, rotation,
 ///                         ...); required exactly when M::kHasAuxMove.
 ///
-/// The *optional* members keep working through the detection traits
-/// below (ModelNeedsPartnerIds defaults to false), but the load-bearing
-/// ones are required outright:
+/// The load-bearing members are required outright:
 ///
 ///   kInteractionRadius    every model must declare how far one event
 ///                         reads/writes (in lattice columns) — the
@@ -36,8 +34,10 @@
 ///                         width would leave no interior band at all.
 ///   serialize/deserialize the durable-run layer snapshots every model;
 ///                         serialize must be const (it runs on a live
-///                         engine at a checkpoint) and both must take
-///                         the snapshot stream by reference.
+///                         engine at a checkpoint) and also takes the
+///                         system, since a model may keep its state in
+///                         planes keyed by position; both take the
+///                         snapshot stream by reference.
 ///
 /// tests/compile_fail/ holds the negative half of the proof: deliberately
 /// contract-violating models, compiled via try_compile, must be rejected
@@ -48,7 +48,6 @@
 #include <type_traits>
 
 #include "core/compression_chain.hpp"
-#include "core/id_plane.hpp"
 #include "lattice/direction.hpp"
 #include "lattice/tri_point.hpp"
 #include "rng/random.hpp"
@@ -63,17 +62,6 @@ enum class AuxOutcome : std::uint8_t {
   Rejected,  ///< reached the filter and failed the Metropolis draw
   Accepted,  ///< applied
 };
-
-/// Detects the optional kNeedsPartnerIds contract member (absent = false):
-/// when true the engine maintains a cell→particle-id plane
-/// (core/id_plane.hpp) in lockstep with accepted moves and passes it to
-/// auxStep, so partner identity is an array load instead of a hash probe.
-template <typename Model, typename = void>
-struct ModelNeedsPartnerIds : std::false_type {};
-template <typename Model>
-struct ModelNeedsPartnerIds<Model,
-                            std::void_t<decltype(Model::kNeedsPartnerIds)>>
-    : std::bool_constant<Model::kNeedsPartnerIds> {};
 
 /// The model's declared interaction radius: the largest column distance
 /// (|Δx|) any read or write of one event spans from the activated
@@ -100,11 +88,10 @@ inline constexpr int kMaxInteractionRadius = 31;
 template <typename Model>
 concept AuxMoveModel =
     requires(Model& m, const Model& cm, system::ParticleSystem& sys,
-             const ParticleIdPlane& ids, rng::Random& rng, std::size_t particle,
-             int draw6) {
+             rng::Random& rng, std::size_t particle, int draw6) {
       { cm.auxEnabled() } -> std::convertible_to<bool>;
       { cm.auxProbability() } -> std::convertible_to<double>;
-      { m.auxStep(sys, ids, rng, particle, draw6) } -> std::same_as<AuxOutcome>;
+      { m.auxStep(sys, rng, particle, draw6) } -> std::same_as<AuxOutcome>;
     };
 
 /// Everything both execution disciplines require of every model: the
@@ -136,18 +123,15 @@ concept ChainWeightModelBase =
       m.onMoved(sys, particle, cell, cell);
       // Snapshot round-trip of the model's evolving state; serialize runs
       // on a const engine at a checkpoint.
-      { cm.serialize(w) } -> std::same_as<void>;
+      { cm.serialize(w, sys) } -> std::same_as<void>;
       { m.deserialize(r) } -> std::same_as<void>;
     };
 
-/// The full contract: the base surface, the auxiliary surface exactly
-/// when the model declares an aux move, and coherence of the optional
-/// members (a partner-id plane is only defined for pair-style aux moves).
+/// The full contract: the base surface, and the auxiliary surface exactly
+/// when the model declares an aux move.
 template <typename Model>
 concept ChainWeightModel =
-    ChainWeightModelBase<Model> &&
-    (!Model::kHasAuxMove || AuxMoveModel<Model>) &&
-    (!ModelNeedsPartnerIds<Model>::value || Model::kHasAuxMove);
+    ChainWeightModelBase<Model> && (!Model::kHasAuxMove || AuxMoveModel<Model>);
 
 }  // namespace sops::core
 

@@ -21,7 +21,10 @@
 /// 11/13/21-entry power table built with the shared core::lambdaPower.
 /// No std::pow and no hash probe runs on the accept path.  The planes
 /// follow the system's grid through both of its backends (flat window
-/// and tiled directory); tests/biased_engine_test.cpp pins the separation
+/// and tiled directory).  Separation's two color planes are its only
+/// record of the colors — a swap flips four bits and needs no partner
+/// identity; alignment keeps its per-particle orientations beside its
+/// planes.  tests/biased_engine_test.cpp pins the separation
 /// model to the reference chain (extensions::SeparationChain, which keeps
 /// its own hash occupancy) draw for draw.
 
@@ -41,13 +44,14 @@ namespace sops::core {
 
 /// K shadow bit planes kept geometry-aligned with a ParticleSystem's
 /// occupancy grid.  sync() detects geometry changes by fingerprinting the
-/// grid — origin/size plus the grid's
-/// geometryVersion().  A flat-window change rebuilds the planes from
-/// scratch — O(n), amortized by the system's own O(log drift) rebuild
-/// schedule.  A *tiled* grid never rebuilds, it only allocates tiles, and
-/// plane bits key absolute coordinates — so a fingerprint mismatch while
-/// both sides are tiled means "new tiles only": the planes grow their
-/// directories to match (ensureTilesOf) and keep their content.
+/// grid — origin/size plus the grid's geometryVersion().  A flat-window
+/// change lays the planes out afresh — O(n), amortized by the system's own
+/// O(log drift) rebuild schedule — building the new geometry beside the
+/// old planes, so the class callback may still read the old ones.  A
+/// *tiled* grid never rebuilds, it only allocates tiles, and plane bits key
+/// absolute coordinates — so a fingerprint mismatch while both sides are
+/// tiled means "new tiles only": the planes grow their directories to match
+/// (ensureTilesOf) and keep their content.
 template <std::size_t K>
 class ShadowPlanes {
  public:
@@ -61,8 +65,9 @@ class ShadowPlanes {
   }
 
   /// Ensures the planes mirror sys.grid(); classOf(particle) ∈ [0, K) maps
-  /// each particle to its plane.  Precondition: sys is non-empty (an
-  /// empty system has no grid to mirror).
+  /// each particle to its plane and is only called while the planes are
+  /// laid out afresh, with the old planes still in place.  Precondition:
+  /// sys is non-empty (an empty system has no grid to mirror).
   template <typename ClassOf>
   void sync(const system::ParticleSystem& sys, ClassOf&& classOf) {
     const system::BitGrid& grid = sys.grid();
@@ -74,17 +79,19 @@ class ShadowPlanes {
       fingerprint(grid);
       return;
     }
-    for (auto& plane : planes_) plane.allocateLike(grid);
+    std::array<system::BitGrid, K> next;
+    for (auto& plane : next) plane.allocateLike(grid);
     for (std::size_t i = 0; i < sys.size(); ++i) {
-      planes_[static_cast<std::size_t>(classOf(i))].set(sys.position(i));
+      next[static_cast<std::size_t>(classOf(i))].set(sys.position(i));
     }
+    planes_ = std::move(next);
     fingerprint(grid);
     dense_ = true;
   }
 
-  /// Forces the next sync() to rebuild from scratch — used after a model
-  /// deserialize replaces the per-particle classes wholesale (the grid
-  /// geometry alone cannot detect that).
+  /// Forces the next sync() to lay the planes out from classOf alone —
+  /// used after a model deserialize replaces the per-particle classes
+  /// wholesale (the grid geometry alone cannot detect that).
   void invalidate() noexcept { dense_ = false; }
 
   [[nodiscard]] system::BitGrid& plane(std::size_t k) noexcept {
@@ -114,8 +121,8 @@ class ShadowPlanes {
 
 /// Induced edges whose endpoints share a class — the exact hom(σ) / ali(σ)
 /// recount behind both models' observables.  Neighbor classes come from a
-/// cell → class map built for this one recount: O(n), where an id plane
-/// would mirror the whole occupancy window on every sample.
+/// cell → class map built for this one recount from the particles alone,
+/// so it is independent of the models' shadow planes.
 [[nodiscard]] inline std::int64_t sameClassEdges(
     const system::ParticleSystem& sys, std::span<const std::uint8_t> classes) {
   constexpr Direction kPositive[3] = {Direction::East, Direction::NorthEast,
@@ -164,7 +171,8 @@ class CompressionModel {
 
   /// Snapshot hooks (Model contract): compression carries no aux state —
   /// options come from the spec and the decision table is rebuilt.
-  void serialize(system::SnapshotWriter&) const {}
+  void serialize(system::SnapshotWriter&, const system::ParticleSystem&) const {
+  }
   void deserialize(system::SnapshotReader&) {}
 
  private:
@@ -188,10 +196,6 @@ class SeparationModel {
 
   static constexpr bool kUniformWeight = false;
   static constexpr bool kHasAuxMove = true;
-  /// The swap needs the partner's identity: have the engine maintain the
-  /// cell→id plane so an accepted swap costs an array load, not a hash
-  /// probe (the last hash touch the accept path had).
-  static constexpr bool kNeedsPartnerIds = true;
   /// The swap touches a partner one cell away (|Δx| ≤ 1) and gathers the
   /// full ring of the shared edge around it (|Δx| ≤ 2 from the activated
   /// particle), and flips the partner's color plane bit — so the sharded
@@ -204,13 +208,14 @@ class SeparationModel {
   static constexpr int kMaxSwapDelta = 10;
 
   SeparationModel(Options options, std::vector<std::uint8_t> colors)
-      : options_(options), colors_(std::move(colors)) {
+      : options_(options), particleCount_(colors.size()),
+        startColors_(std::move(colors)) {
     SOPS_REQUIRE(options_.lambda > 0.0 && options_.gamma > 0.0,
                  "biases must be positive");
     SOPS_REQUIRE(
         options_.swapProbability >= 0.0 && options_.swapProbability < 1.0,
         "swap probability must be in [0, 1)");
-    for (const std::uint8_t c : colors_) {
+    for (const std::uint8_t c : startColors_) {
       SOPS_REQUIRE(c <= 1, "colors are 0 or 1");
     }
     for (int delta = -kMaxMoveDelta; delta <= kMaxMoveDelta; ++delta) {
@@ -229,19 +234,23 @@ class SeparationModel {
     return chain;
   }
 
+  /// The first attach after construction or deserialize lays the planes
+  /// out from the start colors and drops them; from then on the color-1
+  /// plane is the only record of the colors.
   void attach(const system::ParticleSystem& sys) {
-    SOPS_REQUIRE(colors_.size() == sys.size(), "one color per particle");
+    SOPS_REQUIRE(particleCount_ == sys.size(), "one color per particle");
     syncPlanes(sys);
+    startColors_ = {};
   }
 
   /// γ^{Δhom} for the movement (l → l+d) of `particle`.  Dense: one ring
   /// gather of the particle's own color plane, two popcounts, one table
   /// load.
-  double movementFactor(const system::ParticleSystem& sys, std::size_t particle,
+  double movementFactor(const system::ParticleSystem& sys, std::size_t,
                         TriPoint l, Direction d, std::uint8_t /*ringOcc*/) {
     syncPlanes(sys);
     const std::uint8_t ringSame =
-        planes_.plane(colors_[particle])
+        planes_.plane(colorAtUnchecked(l))
             .ringMaskUnchecked(l, lattice::index(d));
     const int delta =
         std::popcount(static_cast<unsigned>(ringSame & kAfterMask)) -
@@ -249,16 +258,17 @@ class SeparationModel {
     return movePow_[static_cast<std::size_t>(delta + kMaxMoveDelta)];
   }
 
-  void onMoved(const system::ParticleSystem& sys, std::size_t particle,
-               TriPoint from, TriPoint to) {
-    // sync() first: a stale fingerprint means the grid rebuilt (flat) or
-    // grew tiles.  After a flat rebuild the planes were reconstructed from
-    // post-move positions, so the clear/set below are no-ops; after tiled
-    // growth they are the move's one real update.
-    syncPlanes(sys);
-    system::BitGrid& plane = planes_.plane(colors_[particle]);
+  void onMoved(const system::ParticleSystem& sys, std::size_t, TriPoint from,
+               TriPoint to) {
+    // The bit moves on the pre-move planes, then sync() lays them out
+    // afresh if the grid changed: a flat window regrows only when `to`
+    // leaves its interior, so `to` is still inside the old window, and a
+    // tiled set() allocates its tile.  The new layout reads each color off
+    // the old planes, so it carries every bit over.
+    system::BitGrid& plane = planes_.plane(colorAtUnchecked(from));
     plane.clear(from);
     plane.set(to);
+    syncPlanes(sys);
   }
 
   [[nodiscard]] bool auxEnabled() const noexcept {
@@ -269,26 +279,24 @@ class SeparationModel {
   }
 
   /// Color swap across a heterochromatic edge, accepted with
-  /// min(1, γ^{Δhom}).  Dense path: the partner's color is a word load,
-  /// and Δhom comes from *two edge-ring gathers* — N(p)∪N(q)\{p,q} is
-  /// exactly the 8-cell ring of the edge (p, q), the two color planes
-  /// partition its occupancy, and kBeforeMask/kAfterMask split it into
-  /// N(p)\{q} and N(q)\{p}, so the heterochromatic p—q edge is excluded by
-  /// construction.  The partner's id for an accepted swap is one load of
-  /// the engine-maintained id plane, which every caller keeps in sync
-  /// across accepted moves and window regrows.
+  /// min(1, γ^{Δhom}).  Dense path: both colors are word loads, and Δhom
+  /// comes from *two edge-ring gathers* — N(p)∪N(q)\{p,q} is exactly the
+  /// 8-cell ring of the edge (p, q), the two color planes partition its
+  /// occupancy, and kBeforeMask/kAfterMask split it into N(p)\{q} and
+  /// N(q)\{p}, so the heterochromatic p—q edge is excluded by
+  /// construction.  The colors live in the planes, so an accepted swap
+  /// flips four bits and never needs the partner's identity.
   /// (particle, draw6) are the engine's hoisted draws; draw6 is the
   /// direction of the candidate edge.
-  AuxOutcome auxStep(system::ParticleSystem& sys, const ParticleIdPlane& ids,
-                     rng::Random& rng, std::size_t particle, int draw6) {
+  AuxOutcome auxStep(system::ParticleSystem& sys, rng::Random& rng,
+                     std::size_t particle, int draw6) {
     const Direction d = lattice::directionFromIndex(draw6);
     const TriPoint p = sys.position(particle);
     const TriPoint q = lattice::neighbor(p, d);
-    const std::uint8_t colorP = colors_[particle];
     syncPlanes(sys);
     if (!sys.occupiedNear(q)) return AuxOutcome::Skipped;
-    const std::uint8_t colorQ =
-        planes_.plane(1).testUnchecked(q) ? std::uint8_t{1} : std::uint8_t{0};
+    const std::uint8_t colorP = colorAtUnchecked(p);
+    const std::uint8_t colorQ = colorAtUnchecked(q);
     if (colorQ == colorP) return AuxOutcome::Skipped;
     const std::uint8_t ringP =
         planes_.plane(colorP).ringMaskUnchecked(p, lattice::index(d));
@@ -303,11 +311,6 @@ class SeparationModel {
     const double threshold =
         swapPow_[static_cast<std::size_t>(after - before + kMaxSwapDelta)];
     if (threshold >= 1.0 || rng.uniform() < threshold) {
-      SOPS_DASSERT(ids.tracksMoves(sys.grid()));
-      const auto other = static_cast<std::size_t>(ids.idAtUnchecked(q));
-      SOPS_DASSERT(sys.position(other) == q);
-      colors_[particle] = colorQ;
-      colors_[other] = colorP;
       planes_.plane(colorP).clear(p);
       planes_.plane(colorQ).set(p);
       planes_.plane(colorQ).clear(q);
@@ -318,45 +321,60 @@ class SeparationModel {
   }
 
   [[nodiscard]] const Options& options() const noexcept { return options_; }
-  [[nodiscard]] const std::vector<std::uint8_t>& colors() const noexcept {
-    return colors_;
+
+  /// Particle i's color, read off the color-1 plane at its position (or
+  /// the start colors before the first attach).
+  [[nodiscard]] std::vector<std::uint8_t> colors(
+      const system::ParticleSystem& sys) const {
+    if (!startColors_.empty()) return startColors_;
+    std::vector<std::uint8_t> colors(sys.size());
+    for (std::size_t i = 0; i < sys.size(); ++i) {
+      colors[i] = planes_.plane(1).test(sys.position(i)) ? 1 : 0;
+    }
+    return colors;
   }
 
   /// hom(σ): exact recount of monochromatic induced edges.
   [[nodiscard]] std::int64_t homogeneousEdges(
       const system::ParticleSystem& sys) const {
-    return sameClassEdges(sys, colors_);
-  }
-
-  [[nodiscard]] std::size_t colorOneCount() const noexcept {
-    std::size_t count = 0;
-    for (const std::uint8_t c : colors_) count += c;
-    return count;
+    return sameClassEdges(sys, colors(sys));
   }
 
   /// Snapshot hooks: the colors are the model's only evolving state (the
-  /// shadow planes and power tables are derived; options come from the
-  /// spec).  deserialize invalidates the planes so the next sync rebuilds
-  /// them from the restored colors.
-  void serialize(system::SnapshotWriter& w) const { w.bytes(colors_); }
+  /// power tables are derived; options come from the spec).  deserialize
+  /// keeps the read colors as start colors, and the next attach lays the
+  /// planes out from them.
+  void serialize(system::SnapshotWriter& w,
+                 const system::ParticleSystem& sys) const {
+    w.bytes(colors(sys));
+  }
   void deserialize(system::SnapshotReader& r) {
     std::vector<std::uint8_t> colors = r.bytes();
-    SOPS_REQUIRE(colors.size() == colors_.size(),
+    SOPS_REQUIRE(colors.size() == particleCount_,
                  "snapshot: color count does not match the particle count");
     for (const std::uint8_t c : colors) {
       SOPS_REQUIRE(c <= 1, "snapshot: colors are 0 or 1");
     }
-    colors_ = std::move(colors);
+    startColors_ = std::move(colors);
     planes_.invalidate();
   }
 
  private:
+  [[nodiscard]] std::uint8_t colorAtUnchecked(TriPoint p) const noexcept {
+    return planes_.plane(1).testUnchecked(p) ? 1 : 0;
+  }
+
   void syncPlanes(const system::ParticleSystem& sys) {
-    planes_.sync(sys, [this](std::size_t i) { return colors_[i]; });
+    planes_.sync(sys, [&](std::size_t i) {
+      return startColors_.empty() ? colorAtUnchecked(sys.position(i))
+                                  : startColors_[i];
+    });
   }
 
   Options options_;
-  std::vector<std::uint8_t> colors_;
+  std::size_t particleCount_ = 0;
+  /// Colors the next attach lays the planes out from; empty afterwards.
+  std::vector<std::uint8_t> startColors_;
   ShadowPlanes<2> planes_;
   std::array<double, 2 * kMaxMoveDelta + 1> movePow_{};
   std::array<double, 2 * kMaxSwapDelta + 1> swapPow_{};
@@ -441,8 +459,10 @@ class AlignmentModel {
 
   void onMoved(const system::ParticleSystem& sys, std::size_t particle,
                TriPoint from, TriPoint to) {
-    // See SeparationModel::onMoved: sync first, then apply (no-ops after a
-    // flat rebuild, the real update after tiled growth).
+    // sync() first: a stale fingerprint means the grid rebuilt (flat) or
+    // grew tiles.  After a flat relayout the planes already hold post-move
+    // positions, so the clear/set below are no-ops; after tiled growth
+    // they are the move's one real update.
     syncPlanes(sys);
     system::BitGrid& plane = planes_.plane(orientations_[particle]);
     plane.clear(from);
@@ -457,13 +477,11 @@ class AlignmentModel {
   }
 
   /// Orientation re-sampling: propose a uniform orientation for a uniform
-  /// particle (symmetric), accept with min(1, κ^{Δali}).  The rotation
-  /// touches no second particle, so the id plane goes unused (and
-  /// undeclared — the engine maintains none for this model).  (particle,
+  /// particle (symmetric), accept with min(1, κ^{Δali}).  (particle,
   /// draw6) are the engine's hoisted draws; draw6 is the proposed
   /// orientation.
-  AuxOutcome auxStep(system::ParticleSystem& sys, const ParticleIdPlane&,
-                     rng::Random& rng, std::size_t particle, int draw6) {
+  AuxOutcome auxStep(system::ParticleSystem& sys, rng::Random& rng,
+                     std::size_t particle, int draw6) {
     const auto proposed = static_cast<std::uint8_t>(draw6);
     const std::uint8_t current = orientations_[particle];
     if (proposed == current) return AuxOutcome::Skipped;
@@ -497,7 +515,10 @@ class AlignmentModel {
   }
 
   /// Snapshot hooks: orientations are the model's only evolving state.
-  void serialize(system::SnapshotWriter& w) const { w.bytes(orientations_); }
+  void serialize(system::SnapshotWriter& w,
+                 const system::ParticleSystem&) const {
+    w.bytes(orientations_);
+  }
   void deserialize(system::SnapshotReader& r) {
     std::vector<std::uint8_t> orientations = r.bytes();
     SOPS_REQUIRE(orientations.size() == orientations_.size(),

@@ -24,14 +24,12 @@
 /// and alignment's rotation interact across a shared edge whose ring
 /// extends one column further).  An event also stays in its stripe only
 /// if an accepted move cannot force a plane regrow
-/// (BitGrid::coversInteriorBy(pos, kInteriorMargin + 1)) and, for pair-move
-/// models, if the paged partner-id plane covers its neighborhood
-/// (ParticleIdPlane::coversNear) — directory growth, like window growth,
-/// belongs to the sequential pre-phase and sweep only.  The pre-phase
-/// re-attaches the model's shadow planes and syncs the id plane; a stripe
-/// worker's accepted move then writes only its particle's position slot
-/// and plane words inside its stripe.  Per-stripe tallies (EngineStats and the e(σ) delta) are integer sums,
-/// so merging them in stripe order is exact.
+/// (BitGrid::coversInteriorBy(pos, kInteriorMargin + 1)) — window and
+/// directory growth belong to the sequential pre-phase and sweep only.
+/// The pre-phase re-attaches the model's shadow planes; a stripe worker's
+/// accepted move then writes only its particle's position slot and plane
+/// words inside its stripe.  Per-stripe tallies (EngineStats and the e(σ)
+/// delta) are integer sums, so merging them in stripe order is exact.
 ///
 /// **Heterogeneous rates.**  ShardedChainOptions::rates gives particle i
 /// activation rate rate_i > 0 (empty = all 1.0, the paper's uniform
@@ -86,7 +84,6 @@ class ShardedChainRunner {
     SOPS_REQUIRE(system::isConnected(system_),
                  "sharded runner requires a connected starting configuration");
     model_.attach(system_);
-    if constexpr (kMaintainsIds) partnerIds_.sync(system_);
     edges_ = system::countEdges(system_);
     decisions_ = buildDecisionTable(chainOptions);
   }
@@ -140,18 +137,15 @@ class ShardedChainRunner {
   /// geometry (the stripe decomposition and halo/edge deferral rules are
   /// functions of it — a re-derived window would change the trajectory),
   /// model aux state, tallies, the simulated clock, then the executor's
-  /// schedule state (StripeEpochExecutor::saveState), then the partner-id
-  /// plane's mode and (when paged) its exact page directory, since the
-  /// striped deferral predicate is a function of the allocated-page set.
-  /// Only legal between runAtLeast calls (epoch boundaries).
+  /// schedule state (StripeEpochExecutor::saveState).  Only legal between
+  /// runAtLeast calls (epoch boundaries).
   void saveState(system::SnapshotWriter& w) const {
     system::writeParticleSystem(w, system_);
-    model_.serialize(w);
+    model_.serialize(w, system_);
     writeEngineStats(w, stats_);
     w.i64(edges_);
     w.f64(executor_.now());
     executor_.saveState(w);
-    if constexpr (kMaintainsIds) partnerIds_.saveState(w);
   }
 
   /// Inverse of saveState on a runner constructed from the same spec
@@ -159,7 +153,7 @@ class ShardedChainRunner {
   /// decision table, rates, and the derived planes come from the
   /// constructor; everything history-dependent is restored, so the runner
   /// continues the snapshotted trajectory exactly (at any thread count).
-  /// Frames before v4 are rejected (requireStripeEpochFrame).
+  /// Frames before v5 are rejected (requireStripeEpochFrame).
   void restoreState(system::SnapshotReader& r) {
     requireStripeEpochFrame(r);
     // Everything is read and checked into locals first, so a rejected
@@ -171,9 +165,6 @@ class ShardedChainRunner {
     const std::int64_t edges = r.i64();
     const double now = r.f64();
     const auto schedule = executor_.readState(r, now, restored.size());
-    // The plane's mode and exact page directory, restored key for key.
-    ParticleIdPlane partnerIds;
-    if constexpr (kMaintainsIds) partnerIds.restoreState(r, restored);
     SOPS_REQUIRE(system::countEdges(restored) == edges,
                  "snapshot: restored edge count disagrees with the "
                  "configuration — corrupt or mismatched snapshot");
@@ -182,14 +173,12 @@ class ShardedChainRunner {
     stats_ = stats;
     edges_ = edges;
     executor_.restoreState(schedule);
-    partnerIds_ = std::move(partnerIds);
     model_.attach(system_);
   }
 
  private:
   friend class StripeEpochExecutor<ShardedChainRunner>;
 
-  static constexpr bool kMaintainsIds = ModelNeedsPartnerIds<Model>::value;
   static constexpr std::uint64_t kHaloColumns =
       static_cast<std::uint64_t>(ModelInteractionRadius<Model>::value);
   static_assert(ModelInteractionRadius<Model>::value >= 1 &&
@@ -213,22 +202,15 @@ class ShardedChainRunner {
   void prefetch(std::uint32_t i) const noexcept {
     __builtin_prefetch(system_.positions().data() + i);
   }
-  /// Window-edge and (pair-move models) id-plane coverage; lookups and id
-  /// moves reach distance ≤ 1.  Both directories are immutable during the
-  /// stripe phase, so the predicate is the same for every thread count.
+  /// Window-edge coverage.  The grid is immutable during the stripe phase,
+  /// so the predicate is the same for every thread count.
   [[nodiscard]] bool stripeSafe(TriPoint pos) const noexcept {
-    if constexpr (kMaintainsIds) {
-      if (!partnerIds_.coversNear(pos, 1)) return false;
-    }
     return system_.grid().coversInteriorBy(
         pos, system::BitGrid::kInteriorMargin + 1);
   }
   /// With the window geometry fixed for the stripe phase (window-edge
   /// events are deferred), no plane rebuild can trigger inside a worker.
-  void prepareEpoch() {
-    model_.attach(system_);
-    if constexpr (kMaintainsIds) partnerIds_.sync(system_);
-  }
+  void prepareEpoch() { model_.attach(system_); }
   void runEvent(std::uint32_t particle, rng::Random& rng, Tally& tally) {
     ++tally.stats.steps;
     bool auxMove = false;
@@ -237,7 +219,7 @@ class ShardedChainRunner {
     }
     const int draw6 = static_cast<int>(rng.below(6));
     const EngineStepResult result = chainEventStep(
-        system_, model_, partnerIds_, decisions_, greedy_,
+        system_, model_, decisions_, greedy_,
         static_cast<std::size_t>(particle), draw6, auxMove, rng,
         tally.edgeDelta);
     if (result.wasAux) {
@@ -257,9 +239,6 @@ class ShardedChainRunner {
   EngineStats stats_;
   std::int64_t edges_ = 0;
   bool greedy_ = false;
-  /// cell → id mirror for models that declare kNeedsPartnerIds; empty and
-  /// untouched otherwise (same contract as the engine's).
-  ParticleIdPlane partnerIds_;
   std::array<MoveDecision, 256> decisions_{};
   StripeEpochExecutor<ShardedChainRunner> executor_;
 };

@@ -138,16 +138,18 @@ struct StripeEpochOptions {
 };
 
 /// Rejects a sharded-runner snapshot framed before
-/// system::kMinShardedSnapshotVersion, whose per-particle clock and coin
-/// streams this executor no longer has.  Both runners call it before they
-/// read anything.
+/// system::kMinShardedSnapshotVersion: older frames carry per-particle
+/// clock and coin streams (before v4) or a partner-id plane record (v3,
+/// v4) that today's runners neither have nor read.  Both runners call it
+/// before they read anything.
 inline void requireStripeEpochFrame(const system::SnapshotReader& r) {
   SOPS_REQUIRE(r.version() >= system::kMinShardedSnapshotVersion,
                "snapshot: sharded-runner frame v" +
                    std::to_string(r.version()) + " predates v" +
                    std::to_string(system::kMinShardedSnapshotVersion) +
-                   ", which replaced per-particle clocks with per-epoch "
-                   "stripe streams; it cannot be resumed");
+                   ", the oldest sharded layout this build reads (per-epoch "
+                   "stripe streams, no partner-id plane); it cannot be "
+                   "resumed");
 }
 
 template <typename Kernel>

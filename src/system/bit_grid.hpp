@@ -102,7 +102,7 @@ class BitGrid {
 
   /// Monotonic counter bumped by every geometry change: rebuilds, exact
   /// rebuilds, disable, allocateLike, and each tile allocation.  Shadow
-  /// planes and the id plane fingerprint this to detect staleness — two
+  /// planes fingerprint this to detect staleness — two
   /// grids with equal versions observed on the *same* grid object have
   /// identical geometry (window or tile directory).
   [[nodiscard]] std::uint64_t geometryVersion() const noexcept {
@@ -400,7 +400,7 @@ class BitGrid {
   void ensureRegion(TriPoint p, std::int64_t margin);
 
   /// Tiled only: allocates (at least) every tile `other` has — used by
-  /// shadow/id planes to follow the occupancy grid's growth incrementally,
+  /// shadow planes to follow the occupancy grid's growth incrementally,
   /// keeping plane directories a superset of the grid's.
   void ensureTilesOf(const BitGrid& other);
 

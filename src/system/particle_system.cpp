@@ -61,7 +61,7 @@ void ParticleSystem::moveParticle(std::size_t particle, TriPoint to) {
   } else if (grid_.tiled()) {
     // A tiled grid only ever grows: allocating the few tiles around the
     // escape restores the interior invariant without re-deriving any
-    // geometry, so shadow/id planes stay incrementally valid.  Never
+    // geometry, so shadow planes stay incrementally valid.  Never
     // reached from a sharded parallel phase — its deferral predicate
     // requires coversInteriorBy(pos, margin + 1).
     grid_.ensureRegion(to, kGridEnsureMargin);

@@ -14,9 +14,9 @@
 ///     backend beyond BitGrid::kMaxWords.
 ///
 /// The chain's state is the set of occupied vertices, so there is no
-/// cell → id map.  The one move that needs an identity (a pair move such
-/// as separation's swap) gets it from core::ParticleIdPlane; sequential
-/// callers that need one now and then scan positions().
+/// cell → id map.  No move needs one: separation's swap exchanges colors
+/// held in the model's shadow planes, keyed by cell.  Sequential callers
+/// that need an identity now and then scan positions().
 ///
 /// Expanded particles exist only in the amoebot layer (S7); the chain's
 /// states consider contracted particles only, exactly as in the paper

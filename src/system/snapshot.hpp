@@ -45,28 +45,29 @@ namespace sops::system {
 [[nodiscard]] std::uint64_t snapshotChecksum(
     std::span<const std::uint8_t> bytes) noexcept;
 
-/// Current frame format version.  v4: the sharded runners' schedule state
+/// Current frame format version.  v5: the sharded chain runner no longer
+/// appends a partner-id plane record (separation keeps its colors in its
+/// shadow planes), so sharded frames before v5 are rejected by name
+/// (kMinShardedSnapshotVersion).  v4: the sharded runners' schedule state
 /// is the sweep count, the epoch target and the epoch index — their
 /// per-particle clock and coin streams are gone (each stripe draws its
-/// events from a per-epoch stream), so their frames before v4 are rejected
-/// by name (kMinShardedSnapshotVersion).  v3: occupancy serializes a
-/// backend tag (flat window / tiled directory, with the tiled grid's exact
-/// allocated-tile set), and the sharded chain runner appends its
-/// partner-id plane's mode and paged directory — the tiled deferral
-/// predicates are functions of those directories, so a re-derived one
-/// would change the trajectory.  Sequential-engine payloads of v2 (flat
-/// occupancy only) and v3 are still accepted: their byte layout is
-/// unchanged apart from v3's occupancy tag, of which v2's flat record is a
-/// strict subset.  v1 payloads stored full (seed, state) Random pairs, so
-/// they must fail loudly rather than be misread.
-inline constexpr std::uint32_t kSnapshotVersion = 4;
+/// events from a per-epoch stream).  v3: occupancy serializes a backend
+/// tag (flat window / tiled directory, with the tiled grid's exact
+/// allocated-tile set) — the tiled deferral predicates are functions of
+/// that directory, so a re-derived one would change the trajectory.
+/// Sequential-engine payloads of v2 (flat occupancy only), v3 and v4 are
+/// still accepted: their byte layout is unchanged apart from v3's
+/// occupancy tag, of which v2's flat record is a strict subset.  v1
+/// payloads stored full (seed, state) Random pairs, so they must fail
+/// loudly rather than be misread.
+inline constexpr std::uint32_t kSnapshotVersion = 5;
 
 /// Oldest frame version readSnapshotFile still accepts.
 inline constexpr std::uint32_t kMinSnapshotVersion = 2;
 
 /// Oldest frame version the sharded runners resume from
 /// (core::requireStripeEpochFrame).
-inline constexpr std::uint32_t kMinShardedSnapshotVersion = 4;
+inline constexpr std::uint32_t kMinShardedSnapshotVersion = 5;
 
 /// Accumulates a snapshot payload as typed little-endian primitives.
 class SnapshotWriter {

@@ -19,6 +19,8 @@
 // Replica fan-out of these engines is sim::run's (tests/sim_api_test.cpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -131,7 +133,7 @@ void expectSeparationGolden(const ParticleSystem& start,
   engine.run(steps);
   reference.run(steps);
   EXPECT_TRUE(engine.system().sameArrangement(reference.system()));
-  EXPECT_EQ(engine.model().colors(), reference.colors());
+  EXPECT_EQ(engine.model().colors(engine.system()), reference.colors());
   EXPECT_EQ(engine.stats().steps, reference.stats().steps);
   EXPECT_EQ(engine.stats().movement.accepted, reference.stats().movesAccepted);
   EXPECT_EQ(engine.stats().auxAccepted, reference.stats().swapsAccepted);
@@ -165,6 +167,91 @@ TEST(EngineGolden, SeparationMatchesReferenceChainOnTiledWindow) {
   ASSERT_TRUE(start.grid().tiled());
   expectSeparationGolden(start, alternatingColors(20000),
                          separationOptions(4.0, 4.0), 41, 30000);
+}
+
+/// Steps a separation engine beside the reference chain and compares the
+/// positions and the colors — read off the engine's color planes — after
+/// every step.  Reports how many moves of each color changed the engine's
+/// grid geometry, and how many swaps it accepted after the `relayouts`-th
+/// such change.
+struct LockstepOutcome {
+  std::array<std::uint64_t, 2> geometryChangesByColor{};
+  std::uint64_t swapsAfterRelayouts = 0;
+
+  [[nodiscard]] std::uint64_t geometryChanges() const {
+    return geometryChangesByColor[0] + geometryChangesByColor[1];
+  }
+};
+
+void stepInLockstep(const ParticleSystem& start, double lambda,
+                    std::uint64_t seed, std::uint64_t steps,
+                    std::uint64_t relayouts, LockstepOutcome& outcome) {
+  const std::vector<std::uint8_t> colors = alternatingColors(start.size());
+  SeparationEngine engine(
+      start, SeparationModel(separationOptions(lambda, 4.0), colors), seed);
+  extensions::SeparationOptions refOptions;
+  refOptions.lambda = lambda;
+  refOptions.gamma = 4.0;
+  extensions::SeparationChain reference(start, colors, refOptions, seed);
+  std::uint64_t swapsAtRelayouts = 0;
+  for (std::uint64_t step = 0; step < steps; ++step) {
+    const std::uint64_t version = engine.system().grid().geometryVersion();
+    const std::vector<TriPoint> positions = reference.system().positions();
+    const std::vector<std::uint8_t> before = reference.colors();
+    engine.step();
+    reference.step();
+    ASSERT_EQ(engine.system().positions(), reference.system().positions())
+        << "step " << step;
+    ASSERT_EQ(engine.model().colors(engine.system()), reference.colors())
+        << "step " << step;
+    if (engine.system().grid().geometryVersion() == version) continue;
+    for (std::size_t i = 0; i < positions.size(); ++i) {
+      if (positions[i] != engine.system().position(i)) {
+        ++outcome.geometryChangesByColor[before[i]];
+      }
+    }
+    if (outcome.geometryChanges() == relayouts) {
+      swapsAtRelayouts = engine.stats().auxAccepted;
+    }
+  }
+  if (outcome.geometryChanges() >= relayouts) {
+    outcome.swapsAfterRelayouts =
+        engine.stats().auxAccepted - swapsAtRelayouts;
+  }
+}
+
+TEST(SeparationEngine, PlaneHeldColorsSurviveRelayouts) {
+  // The colors live only in the two shadow planes, so every flat window
+  // regrow lays the planes out afresh from the old ones.  A window cut to
+  // the bounding box plus three cells forces the first regrow at once; a
+  // small, loosely bound (λ = 1) cluster then drifts far enough to force
+  // more.  Moves of both colors must trigger a regrow: the moved
+  // particle's bit is the one a relayout can lose.
+  const std::int64_t n = 4;
+  ParticleSystem flat = system::lineConfiguration(n);
+  flat.restoreWindowGeometry(-3, -3, static_cast<std::uint64_t>(n + 5), 7);
+  ASSERT_FALSE(flat.grid().tiled());
+  LockstepOutcome flatOutcome;
+  stepInLockstep(flat, 1.0, 1, 300000, 3, flatOutcome);
+  EXPECT_GE(flatOutcome.geometryChanges(), 3u);
+  EXPECT_GT(flatOutcome.geometryChangesByColor[0], 0u);
+  EXPECT_GT(flatOutcome.geometryChangesByColor[1], 0u);
+  EXPECT_GT(flatOutcome.swapsAfterRelayouts, 0u);
+
+  // Tiled: a single tile with the line two rows below its top edge, so an
+  // upward move makes the grid allocate tiles — and the color planes'
+  // set() allocates them before sync() follows the directory.
+  std::vector<TriPoint> points;
+  for (std::int32_t x = 10; x < 10 + n; ++x) points.push_back({x, 252});
+  ParticleSystem tiled(points);
+  tiled.restoreTiledGeometry(
+      std::vector<std::uint64_t>{system::BitGrid::tileKey(0, 0)});
+  ASSERT_TRUE(tiled.grid().tiled());
+  ASSERT_EQ(tiled.grid().tileCount(), 1u);
+  LockstepOutcome tiledOutcome;
+  stepInLockstep(tiled, 1.0, 1, 300000, 1, tiledOutcome);
+  EXPECT_GE(tiledOutcome.geometryChanges(), 1u);
+  EXPECT_GT(tiledOutcome.swapsAfterRelayouts, 0u);
 }
 
 // -- 3. γ = 1 degenerates to the compression chain --------------------------
@@ -222,8 +309,13 @@ TEST(SeparationEngine, PreservesInvariantsAndSegregates) {
       3);
   segregate.run(2000000);
   integrate.run(2000000);
-  EXPECT_EQ(segregate.model().colorOneCount(), 20u);
-  EXPECT_EQ(integrate.model().colorOneCount(), 20u);
+  const auto colorOnes = [](const SeparationEngine& engine) {
+    const std::vector<std::uint8_t> colors =
+        engine.model().colors(engine.system());
+    return std::count(colors.begin(), colors.end(), std::uint8_t{1});
+  };
+  EXPECT_EQ(colorOnes(segregate), 20);
+  EXPECT_EQ(colorOnes(integrate), 20);
   EXPECT_TRUE(system::isConnected(segregate.system()));
   EXPECT_EQ(system::countHoles(segregate.system()), 0);
   const double homSeg =
@@ -305,8 +397,9 @@ TEST(SameClassEdges, MatchBruteForcePairCountFlatAndTiled) {
       ASSERT_EQ(separated.system().grid().tiled(), tiled);
       ASSERT_EQ(aligned.system().grid().tiled(), tiled);
       EXPECT_EQ(separated.model().homogeneousEdges(separated.system()),
-                bruteForceSameClassEdges(separated.system(),
-                                         separated.model().colors()));
+                bruteForceSameClassEdges(
+                    separated.system(),
+                    separated.model().colors(separated.system())));
       EXPECT_EQ(aligned.model().alignedEdges(aligned.system()),
                 bruteForceSameClassEdges(aligned.system(),
                                          aligned.model().orientations()));

@@ -148,11 +148,10 @@ TEST(ApplyProposal, TargetOccupied) {
   // move body on a fixed proposal and the line must stay as it was.
   ParticleSystem sys = system::lineConfiguration(3);
   CompressionModel model(withLambda(4.0));
-  ParticleIdPlane ids;
   rng::Random rng(1);
   std::int64_t edges = system::countEdges(sys);
   const EngineStepResult result = chainEventStep(
-      sys, model, ids, buildDecisionTable(model.chainOptions()),
+      sys, model, buildDecisionTable(model.chainOptions()),
       /*greedy=*/false, /*particle=*/0, lattice::index(Direction::East),
       /*auxMove=*/false, rng, edges);
   EXPECT_EQ(result.movement, StepOutcome::TargetOccupied);

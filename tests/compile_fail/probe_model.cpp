@@ -44,9 +44,11 @@ class ProbeModel {
                sops::core::TriPoint, sops::core::TriPoint) {}
 
 #if defined(SOPS_PROBE_WRONG_SERIALIZE)
-  void serialize(sops::system::SnapshotWriter&) {}
+  void serialize(sops::system::SnapshotWriter&,
+                 const sops::system::ParticleSystem&) {}
 #else
-  void serialize(sops::system::SnapshotWriter&) const {}
+  void serialize(sops::system::SnapshotWriter&,
+                 const sops::system::ParticleSystem&) const {}
 #endif
   void deserialize(sops::system::SnapshotReader&) {}
 

@@ -186,7 +186,8 @@ TEST(SeparationExact, EngineMatchesWeightDistribution) {
   const std::vector<double> counts = sampleFrequencies(
       exact, [&] { engine.step(); },
       [&] {
-        return coloredKey(engine.system().positions(), engine.model().colors());
+        return coloredKey(engine.system().positions(),
+                          engine.model().colors(engine.system()));
       });
   expectMatchesExact(exact, counts);
 }
@@ -212,7 +213,8 @@ TEST(SeparationExact, ShardedRunnerMatchesWeightDistribution) {
   for (int s = 0; s < kSamples; ++s) {
     runner.runAtLeast(kStride);
     const auto it = exact.indexOf.find(
-        coloredKey(runner.system().positions(), runner.model().colors()));
+        coloredKey(runner.system().positions(),
+                   runner.model().colors(runner.system())));
     ASSERT_NE(it, exact.indexOf.end())
         << "sharded runner left the enumerated support";
     counts[it->second] += 1.0;

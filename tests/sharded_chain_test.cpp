@@ -140,8 +140,8 @@ TEST(ShardedChain, SeparationTrajectoryIndependentOfThreadCount) {
         system::lineConfiguration(300),
         SeparationModel(options, system::alternatingClasses(300, 2)), 9007,
         sharded);
-    signatures.push_back(runAndCheck(runner, 120000, 0x23c4c1c89747489eull));
-    colorings.push_back(runner.model().colors());
+    signatures.push_back(runAndCheck(runner, 120000, 0x6afd0242f657d9eaull));
+    colorings.push_back(runner.model().colors(runner.system()));
     EXPECT_GT(runner.stats().auxAccepted, 0u);  // swaps actually exercised
   }
   for (std::size_t i = 1; i < signatures.size(); ++i) {
@@ -173,15 +173,13 @@ TEST(ShardedChain, AlignmentTrajectoryIndependentOfThreadCount) {
   }
 }
 
-TEST(ShardedChain, IdPlaneOverflowRunsStripedOnPagedPlane) {
-  // Between ParticleIdPlane::kMaxCells (2^24 cells) and BitGrid's flat cap
-  // (2^28 bits) lies a regime where the window is dense but the u32 id
-  // mirror is too large to allocate flat: the plane switches to its paged
-  // backend and the epochs keep running striped — stripe workers resolve
-  // swap partners from the pages, and only halo / page-frontier events
-  // fall to the sequential sweep.  A 10k line's window (proportional
-  // margins make it ~15062 × 5063 ≈ 76M cells but only ~1.2M words) sits
-  // squarely in that regime.
+TEST(ShardedChain, LargeFlatWindowSeparationRunsStriped) {
+  // A 10k line's window (proportional margins make it ~15062 × 5063 ≈ 76M
+  // cells but only ~1.2M words) is dense and flat, far larger than any
+  // per-cell mirror could afford.  Separation keeps its colors in two bit
+  // planes of the window's geometry, so the epochs keep running striped —
+  // stripe workers swap colors by flipping plane bits, and only halo and
+  // window-edge events fall to the sequential sweep.
   const std::size_t n = 10000;
   SeparationModel::Options options;
   options.lambda = 4.0;
@@ -193,14 +191,14 @@ TEST(ShardedChain, IdPlaneOverflowRunsStripedOnPagedPlane) {
       SeparationModel(options, system::alternatingClasses(n, 2)), 9017,
       sharded);
   ASSERT_GT(runner.system().grid().width() * runner.system().grid().height(),
-            ParticleIdPlane::kMaxCells);
+            std::uint64_t{1} << 24);
   ASSERT_TRUE(runner.system().grid().enabled());
+  ASSERT_FALSE(runner.system().grid().tiled());
   const std::uint64_t executed = runner.runAtLeast(50000);
-  // The bulk of the events ran on the parallel stripe phase: the paged id
-  // plane removed the old everything-on-the-sweep cliff.
+  // The bulk of the events ran on the parallel stripe phase.
   EXPECT_LT(runner.sweepEvents(), executed);
   EXPECT_EQ(runner.stats().steps, executed);
-  EXPECT_GT(runner.stats().auxAccepted, 0u);  // swaps resolved partners
+  EXPECT_GT(runner.stats().auxAccepted, 0u);  // swaps exercised
   EXPECT_EQ(runner.edges(), system::countEdges(runner.system()));
 }
 
@@ -293,7 +291,7 @@ TEST(ShardedChain, ExecutorSnapshotStateIsConstantInN) {
     runner.saveState(whole);
     system::SnapshotWriter prefix;
     system::writeParticleSystem(prefix, runner.system());
-    runner.model().serialize(prefix);
+    runner.model().serialize(prefix, runner.system());
     writeEngineStats(prefix, runner.stats());
     prefix.i64(runner.edges());
     prefix.f64(runner.now());

@@ -16,14 +16,18 @@
 //  6. a particle list that repeats a cell is rejected by the occupancy
 //     grid, for both the chain and the amoebot system, and a rejected
 //     amoebot restore leaves the system exactly as it was;
-//  7. a sharded-runner frame older than v4 is rejected by name, while
-//     sequential-engine frames of v2 and v3 still load;
-//  8. a frame either sharded runner rejects leaves it exactly as it was:
-//     same state, and the same continuation as an untouched twin.
+//  7. a sharded-runner frame older than v5 is rejected by name, while
+//     sequential-engine frames of v2, v3 and v4 still load;
+//  8. a frame either sharded runner or the sequential separation engine
+//     rejects leaves it exactly as it was: same state, and the same
+//     continuation as an untouched twin — a separation frame whose color
+//     count does not match its particle count among them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <string>
 #include <vector>
@@ -354,9 +358,10 @@ TEST(SnapshotInput, ChainParticleCountMismatchIsANamedError) {
       "particle count");
 }
 
-TEST(SnapshotInput, ShardedFrameBeforeV4IsANamedError) {
+TEST(SnapshotInput, ShardedFrameBeforeV5IsANamedError) {
   // v4 replaced the sharded runners' per-particle streams with per-epoch
-  // state, so an older sharded frame cannot be read as today's layout.
+  // state, and v5 dropped the chain runner's partner-id plane record, so
+  // an older sharded frame cannot be read as today's layout.
   core::ChainOptions options;
   options.lambda = 4.0;
   core::ShardedChainOptions sharded;
@@ -368,6 +373,18 @@ TEST(SnapshotInput, ShardedFrameBeforeV4IsANamedError) {
   SnapshotWriter chainPayload;
   chain.saveState(chainPayload);
 
+  core::SeparationModel::Options separationOptions;
+  separationOptions.lambda = 4.0;
+  separationOptions.gamma = 4.0;
+  core::ShardedChainRunner<core::SeparationModel> separation(
+      system::lineConfiguration(48),
+      core::SeparationModel(separationOptions,
+                            system::alternatingClasses(48, 2)),
+      5, sharded);
+  separation.runAtLeast(1000);
+  SnapshotWriter separationPayload;
+  separation.saveState(separationPayload);
+
   rng::Random ctor(5);
   AmoebotSystem sys(system::lineConfiguration(48), ctor);
   const amoebot::LocalCompressionAlgorithm algo({4.0});
@@ -376,7 +393,7 @@ TEST(SnapshotInput, ShardedFrameBeforeV4IsANamedError) {
   SnapshotWriter amoebotPayload;
   amoebotRunner.saveState(amoebotPayload);
 
-  for (const std::uint32_t version : {2u, 3u}) {
+  for (const std::uint32_t version : {2u, 3u, 4u}) {
     const std::string named =
         "frame v" + std::to_string(version) + " predates v" +
         std::to_string(system::kMinShardedSnapshotVersion);
@@ -384,6 +401,12 @@ TEST(SnapshotInput, ShardedFrameBeforeV4IsANamedError) {
         [&] {
           SnapshotReader r(chainPayload.payload(), version);
           chain.restoreState(r);
+        },
+        named);
+    expectNamedViolation(
+        [&] {
+          SnapshotReader r(separationPayload.payload(), version);
+          separation.restoreState(r);
         },
         named);
     expectNamedViolation(
@@ -397,6 +420,9 @@ TEST(SnapshotInput, ShardedFrameBeforeV4IsANamedError) {
   SnapshotReader chainReader(chainPayload.payload());
   chain.restoreState(chainReader);
   chainReader.finish();
+  SnapshotReader separationReader(separationPayload.payload());
+  separation.restoreState(separationReader);
+  separationReader.finish();
   SnapshotReader amoebotReader(amoebotPayload.payload());
   amoebotRunner.restoreState(amoebotReader);
   amoebotReader.finish();
@@ -409,6 +435,26 @@ std::vector<std::uint8_t> truncated(const SnapshotWriter& frame,
   payload.resize(payload.size() - bytes);
   return payload;
 }
+
+/// `frame`, a separation frame of `sys`, with its color record one color
+/// short of the particle count.
+std::vector<std::uint8_t> colorCountOneShort(const SnapshotWriter& frame,
+                                             const ParticleSystem& sys) {
+  SnapshotWriter w;
+  system::writeParticleSystem(w, sys);
+  const std::size_t colorsAt = w.payload().size();
+  w.bytes(std::vector<std::uint8_t>(sys.size() - 1, 0));
+  std::vector<std::uint8_t> payload = w.payload();
+  const std::vector<std::uint8_t>& whole = frame.payload();
+  const std::size_t colorsEnd = colorsAt + 8 + sys.size();
+  payload.insert(payload.end(),
+                 whole.begin() + static_cast<std::ptrdiff_t>(colorsEnd),
+                 whole.end());
+  return payload;
+}
+
+constexpr const char* kColorCountMismatch =
+    "snapshot: color count does not match the particle count";
 
 /// Restores each rejected frame into `runner`, which must throw and keep
 /// its state, then checks that `runner` continues exactly like `twin`, a
@@ -493,8 +539,9 @@ TEST(SnapshotInput, ChainRejectedRestoreLeavesRunnerUnchanged) {
 }
 
 TEST(SnapshotInput, SeparationRejectedRestoreLeavesRunnerUnchanged) {
-  // The id-plane record is read last: a frame cut inside it has already
-  // handed the runner a new configuration, colors and schedule.
+  // The executor's record is read last: a frame cut inside it has already
+  // handed the runner a new configuration, colors and tallies.  A color
+  // record one short is rejected by name before anything is committed.
   core::SeparationModel::Options options;
   options.lambda = 4.0;
   options.gamma = 4.0;
@@ -512,13 +559,71 @@ TEST(SnapshotInput, SeparationRejectedRestoreLeavesRunnerUnchanged) {
   SnapshotWriter furtherFrame;
   further.saveState(furtherFrame);
 
+  const std::vector<std::uint8_t> oneShort =
+      colorCountOneShort(furtherFrame, further.system());
+
   auto runner = make();
   auto twin = make();
   runner.runAtLeast(1000);
   twin.runAtLeast(1000);
+  expectNamedViolation(
+      [&] {
+        SnapshotReader r(oneShort);
+        runner.restoreState(r);
+      },
+      kColorCountMismatch);
   expectRejectedFramesLeaveRunnerUnchanged(
-      runner, twin, {truncated(furtherFrame, 1), truncated(furtherFrame, 9)});
-  EXPECT_EQ(runner.model().colors(), twin.model().colors());
+      runner, twin,
+      {truncated(furtherFrame, 1), truncated(furtherFrame, 9), oneShort});
+  EXPECT_EQ(runner.model().colors(runner.system()),
+            twin.model().colors(twin.system()));
+}
+
+TEST(SnapshotInput, SeparationEngineRejectedRestoreLeavesEngineUnchanged) {
+  // The sequential engine reads and checks its whole frame before it
+  // commits, like the sharded runners.
+  core::SeparationModel::Options options;
+  options.lambda = 4.0;
+  options.gamma = 4.0;
+  const auto make = [&] {
+    return core::SeparationEngine(
+        system::lineConfiguration(48),
+        core::SeparationModel(options, system::alternatingClasses(48, 2)), 5);
+  };
+  auto further = make();
+  further.run(6000);
+  SnapshotWriter furtherFrame;
+  further.saveState(furtherFrame);
+  const std::vector<std::uint8_t> oneShort =
+      colorCountOneShort(furtherFrame, further.system());
+
+  auto engine = make();
+  auto twin = make();
+  engine.run(1000);
+  twin.run(1000);
+  expectNamedViolation(
+      [&] {
+        SnapshotReader r(oneShort);
+        engine.restoreState(r);
+      },
+      kColorCountMismatch);
+  SnapshotWriter before;
+  engine.saveState(before);
+  for (const std::vector<std::uint8_t>& rejected :
+       {oneShort, truncated(furtherFrame, 1), truncated(furtherFrame, 9)}) {
+    SnapshotReader r(rejected);
+    EXPECT_THROW(engine.restoreState(r), ContractViolation);
+    SnapshotWriter after;
+    engine.saveState(after);
+    EXPECT_EQ(after.payload(), before.payload());
+  }
+  engine.run(3000);
+  twin.run(3000);
+  SnapshotWriter ran;
+  engine.saveState(ran);
+  SnapshotWriter twinRan;
+  twin.saveState(twinRan);
+  EXPECT_EQ(ran.payload(), twinRan.payload());
 }
 
 TEST(SnapshotInput, AmoebotRunnerRejectedRestoreLeavesRunnerUnchanged) {
@@ -585,13 +690,13 @@ TEST(SnapshotInput, AmoebotRunnerRejectedRestoreLeavesRunnerUnchanged) {
   expectRejected(adaptive, {otherFrame});
 }
 
-TEST(SnapshotInput, SequentialEngineFramesV2AndV3StillLoad) {
-  // The sequential engine's byte layout did not change in v4, so its
-  // older frames resume the same trajectory.
-  core::ChainOptions options;
-  options.lambda = 4.0;
-  const core::CompressionModel model(options);
-  core::CompressionEngine original(system::lineConfiguration(48), model, 5);
+/// Saves `original` after 5000 steps, resumes that frame under each of
+/// `versions`, and checks every resumed engine continues exactly like
+/// `original` over the next 5000.
+template <typename Engine, typename Make>
+void expectOlderEngineFramesResume(
+    Make&& make, std::initializer_list<std::uint32_t> versions) {
+  Engine original = make();
   original.run(5000);
   SnapshotWriter payload;
   original.saveState(payload);
@@ -599,8 +704,8 @@ TEST(SnapshotInput, SequentialEngineFramesV2AndV3StillLoad) {
   SnapshotWriter expected;
   original.saveState(expected);
 
-  for (const std::uint32_t version : {2u, 3u}) {
-    core::CompressionEngine resumed(system::lineConfiguration(48), model, 5);
+  for (const std::uint32_t version : versions) {
+    Engine resumed = make();
     SnapshotReader r(payload.payload(), version);
     resumed.restoreState(r);
     r.finish();
@@ -609,6 +714,33 @@ TEST(SnapshotInput, SequentialEngineFramesV2AndV3StillLoad) {
     resumed.saveState(actual);
     EXPECT_EQ(actual.payload(), expected.payload()) << "v" << version;
   }
+}
+
+TEST(SnapshotInput, SequentialEngineFramesV2AndV3StillLoad) {
+  // The sequential engine's byte layout did not change in v4 or v5 (it
+  // never wrote a partner-id plane), so its older frames resume the same
+  // trajectory — a v4 separation-engine frame among them.
+  core::ChainOptions options;
+  options.lambda = 4.0;
+  const core::CompressionModel model(options);
+  expectOlderEngineFramesResume<core::CompressionEngine>(
+      [&] {
+        return core::CompressionEngine(system::lineConfiguration(48), model,
+                                       5);
+      },
+      {2u, 3u, 4u});
+  core::SeparationModel::Options separationOptions;
+  separationOptions.lambda = 4.0;
+  separationOptions.gamma = 4.0;
+  expectOlderEngineFramesResume<core::SeparationEngine>(
+      [&] {
+        return core::SeparationEngine(
+            system::lineConfiguration(48),
+            core::SeparationModel(separationOptions,
+                                  system::alternatingClasses(48, 2)),
+            5);
+      },
+      {4u});
 }
 
 }  // namespace

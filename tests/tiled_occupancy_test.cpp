@@ -5,19 +5,17 @@
 //     constant-stride gather gives way to the per-cell path;
 //  2. the flat-window coversInteriorBy arithmetic cannot wrap on windows
 //     narrower than the two interior bands (regression);
-//  3. the tile and id-page directory caps fail loudly, with the cap and
-//     the fix in the message (instance-overridable so the tests do not
-//     allocate gigabytes);
-//  4. ParticleIdPlane picks Flat below kMaxCells and Paged above (and on
-//     every tiled grid), keeps ids exact across page-seam moves, and
-//     reports coversNear honestly — the sharded runner's deferral signal;
-//  5. the backends are trajectory-invisible: a sequential engine run is
+//  3. the tile directory cap fails loudly, with the cap and the fix in
+//     the message (instance-overridable so the tests do not allocate
+//     gigabytes), and a flat rebuild promotes to tiles only past the flat
+//     cap;
+//  4. the backends are trajectory-invisible: a sequential engine run is
 //     bit-identical flat vs forced-tiled, and the sharded runners stay
 //     thread-count invariant on organically tiled windows (the sizes that
 //     used to fall off the dense path entirely);
-//  6. snapshots: v2 frames still load, tiled directories round-trip
-//     byte-identically, and a (crafted) v2 sharded payload without the v3
-//     id-plane trailer resumes the identical trajectory.
+//  5. snapshots: v2 frames still load, tiled directories round-trip
+//     byte-identically, and a tiled sharded run resumes the identical
+//     trajectory.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -29,7 +27,6 @@
 #include "amoebot/local_compression.hpp"
 #include "amoebot/parallel_scheduler.hpp"
 #include "core/biased_chain_engine.hpp"
-#include "core/id_plane.hpp"
 #include "core/scenario_models.hpp"
 #include "core/sharded_chain_runner.hpp"
 #include "system/bit_grid.hpp"
@@ -40,7 +37,6 @@
 namespace sops {
 namespace {
 
-using core::ParticleIdPlane;
 using core::SeparationModel;
 using lattice::TriPoint;
 using system::BitGrid;
@@ -158,22 +154,6 @@ TEST(TiledBitGrid, TileCapThrowsWithCapAndFixInMessage) {
   }
 }
 
-TEST(IdPlane, PageCapThrowsWithCapAndFixInMessage) {
-  ParticleSystem sys = system::lineConfiguration(10);
-  sys.forceTiledForTest();
-  ParticleIdPlane plane;
-  plane.setMaxPagesForTest(2);
-  try {
-    plane.sync(sys);
-    FAIL() << "expected ContractViolation";
-  } catch (const ContractViolation& e) {
-    const std::string message = e.what();
-    EXPECT_NE(message.find("page directory reached the cap"),
-              std::string::npos)
-        << message;
-  }
-}
-
 // -- promotion boundary at the flat cap --------------------------------------
 
 TEST(TiledBitGrid, RebuildPromotesOnlyPastTheFlatCap) {
@@ -201,54 +181,7 @@ TEST(TiledBitGrid, RebuildExactAcceptsTheCapAndRejectsOnePastIt) {
                ContractViolation);
 }
 
-// -- 4. id plane: flat/paged selection, moves, coversNear --------------------
-
-TEST(IdPlane, FlatAtKMaxCellsPagedOnePast) {
-  // Exactly kMaxCells (4096 * 4096): the flat mirror still applies.
-  ParticleSystem atCap = system::lineConfiguration(10);
-  atCap.restoreWindowGeometry(-2048, -2048, 4096, 4096);
-  ParticleIdPlane flat;
-  flat.sync(atCap);
-  EXPECT_EQ(flat.mode(), ParticleIdPlane::Mode::Flat);
-  EXPECT_TRUE(flat.tracksMoves(atCap.grid()));
-  // One cell-row past the cap: the plane goes paged, allocating only the
-  // pages around the particles instead of a >64 MiB mirror.
-  ParticleSystem pastCap = system::lineConfiguration(10);
-  pastCap.restoreWindowGeometry(-2050, -2050, 4100, 4100);
-  ParticleIdPlane paged;
-  paged.sync(pastCap);
-  EXPECT_EQ(paged.mode(), ParticleIdPlane::Mode::Paged);
-  EXPECT_TRUE(paged.tracksMoves(pastCap.grid()));
-  EXPECT_LT(paged.pageCount() * ParticleIdPlane::kPageCells,
-            std::uint64_t{4100} * 4100);
-  for (std::size_t i = 0; i < pastCap.size(); ++i) {
-    EXPECT_EQ(paged.idAtUnchecked(pastCap.position(i)),
-              static_cast<std::uint32_t>(i));
-    EXPECT_TRUE(paged.coversNear(pastCap.position(i), 1));
-  }
-}
-
-TEST(IdPlane, PagedMoveAllocatesFreshPagesAndKeepsIdsExact) {
-  ParticleSystem sys = system::lineConfiguration(10);
-  sys.forceTiledForTest();
-  ParticleIdPlane plane;
-  plane.sync(sys);
-  ASSERT_EQ(plane.mode(), ParticleIdPlane::Mode::Paged);
-  const std::size_t before = plane.pageCount();
-  // (0, 200) lies on a page the margin-4 build never touched: move() must
-  // allocate around the target and keep the id readable there.
-  EXPECT_FALSE(plane.coversNear({0, 200}, 1));
-  plane.move({0, 0}, {0, 200}, 0);
-  EXPECT_GT(plane.pageCount(), before);
-  EXPECT_EQ(plane.idAtUnchecked({0, 200}), 0u);
-  EXPECT_TRUE(plane.coversNear({0, 200}, 1));
-  // A same-page move stays cheap and exact.
-  plane.move({1, 0}, {2, 1}, 1);
-  EXPECT_EQ(plane.idAtUnchecked({2, 1}), 1u);
-  EXPECT_FALSE(plane.coversNear({100000, 100000}, 1));
-}
-
-// -- 5. backends are trajectory-invisible ------------------------------------
+// -- 4. backends are trajectory-invisible ------------------------------------
 
 TEST(TiledTrajectory, SequentialSeparationBitIdenticalFlatVsTiled) {
   SeparationModel::Options options;
@@ -268,7 +201,8 @@ TEST(TiledTrajectory, SequentialSeparationBitIdenticalFlatVsTiled) {
   flat.run(100000);
   tiled.run(100000);
   EXPECT_TRUE(flat.system().sameArrangement(tiled.system()));
-  EXPECT_EQ(flat.model().colors(), tiled.model().colors());
+  EXPECT_EQ(flat.model().colors(flat.system()),
+            tiled.model().colors(tiled.system()));
   EXPECT_EQ(flat.stats().movement.accepted, tiled.stats().movement.accepted);
   EXPECT_EQ(flat.stats().auxAccepted, tiled.stats().auxAccepted);
   EXPECT_EQ(flat.edges(), tiled.edges());
@@ -296,8 +230,8 @@ template <typename Model>
 ShardedSignature signatureOf(const core::ShardedChainRunner<Model>& runner) {
   ShardedSignature sig;
   sig.positions = runner.system().positions();
-  if constexpr (requires { runner.model().colors(); }) {
-    sig.colors = runner.model().colors();
+  if constexpr (requires { runner.model().colors(runner.system()); }) {
+    sig.colors = runner.model().colors(runner.system());
   }
   sig.edges = runner.edges();
   sig.steps = runner.stats().steps;
@@ -309,8 +243,8 @@ ShardedSignature signatureOf(const core::ShardedChainRunner<Model>& runner) {
 
 TEST(TiledTrajectory, ShardedTiledIndependentOfThreadCount) {
   // A 20000-particle line's derived window exceeds the flat cap, so the
-  // runner executes on the tiled grid with the paged id plane — the size
-  // class that used to run every epoch on the sequential sweep.
+  // runner executes on the tiled grid, its color planes tiled alike — the
+  // size class that used to run every epoch on the sequential sweep.
   SeparationModel::Options options;
   options.lambda = 4.0;
   options.gamma = 4.0;
@@ -330,7 +264,7 @@ TEST(TiledTrajectory, ShardedTiledIndependentOfThreadCount) {
     // Cross-commit golden: trajectory and snapshot byte layout.
     system::SnapshotWriter w;
     runner.saveState(w);
-    EXPECT_EQ(system::snapshotChecksum(w.payload()), 0x17e137645f2df6aaull)
+    EXPECT_EQ(system::snapshotChecksum(w.payload()), 0xde2d443b38fbccc1ull)
         << threads;
   }
   for (std::size_t i = 1; i < signatures.size(); ++i) {
@@ -339,7 +273,7 @@ TEST(TiledTrajectory, ShardedTiledIndependentOfThreadCount) {
 }
 
 TEST(TiledTrajectory, ShardedCompressionTiledIndependentOfThreadCount) {
-  // Compression keeps no id plane, so on the tiled backend its stripe
+  // Compression keeps no shadow planes, so on the tiled backend its stripe
   // workers call ParticleSystem::moveParticle concurrently with only the
   // stripe discipline keeping them apart.  A line at y = 0 also sits on a
   // tile-row seam for its whole length.
@@ -436,7 +370,7 @@ TEST(TiledTrajectory, AmoebotShardedTiledIndependentOfThreadCount) {
   }
 }
 
-// -- 6. snapshots ------------------------------------------------------------
+// -- 5. snapshots ------------------------------------------------------------
 
 std::string tempPath(const char* name) {
   const char* dir = std::getenv("TMPDIR");
@@ -500,9 +434,9 @@ TEST(TiledSnapshot, FlatParticleSystemBytesParseUnderAV2Reader) {
 }
 
 TEST(TiledSnapshot, ShardedTiledSaveRestoreContinuesExactly) {
-  // A tiled sharded run serializes its tile and page directories
-  // verbatim (since v3); the resumed runner must continue bit-identically
-  // (the deferral predicates are functions of those directories).
+  // A tiled sharded run serializes its tile directory verbatim (since
+  // v3); the resumed runner must continue bit-identically (the deferral
+  // predicate is a function of that directory).
   SeparationModel::Options options;
   options.lambda = 4.0;
   options.gamma = 4.0;
