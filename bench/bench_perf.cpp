@@ -165,7 +165,35 @@ void BM_PerimeterClosedForm(benchmark::State& state) {
     benchmark::DoNotOptimize(system::perimeter(sys));
   }
 }
-BENCHMARK(BM_PerimeterClosedForm)->Arg(100)->Arg(1000);
+BENCHMARK(BM_PerimeterClosedForm)->Arg(100)->Arg(1000)->Arg(100000);
+
+// The metrics walk behind every sample, at n = 10^5 on both occupancy
+// backends: Arg 0 is the spiral (flat window), Arg 1 the line (its
+// proportional margins exceed the flat cap, so it is tiled).
+system::ParticleSystem metricsShape(std::int64_t shape) {
+  return shape == 0 ? system::spiralConfiguration(100000)
+                    : system::lineConfiguration(100000);
+}
+
+void BM_IsConnected(benchmark::State& state) {
+  const system::ParticleSystem sys = metricsShape(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(system::isConnected(sys));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(sys.size()));
+}
+BENCHMARK(BM_IsConnected)->Arg(0)->Arg(1);
+
+void BM_CountHoles(benchmark::State& state) {
+  const system::ParticleSystem sys = metricsShape(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(system::countHoles(sys));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(sys.size()));
+}
+BENCHMARK(BM_CountHoles)->Arg(0)->Arg(1);
 
 void BM_FlatMapLookup(benchmark::State& state) {
   util::FlatMap64<std::int32_t> map(1024);

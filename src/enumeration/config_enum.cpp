@@ -80,12 +80,12 @@ std::vector<TriPoint> pointsFromKey(const std::string& key) {
 
 EnumeratedConfig describe(std::vector<TriPoint> points) {
   EnumeratedConfig config;
-  const ParticleSystem sys(points);
-  config.edges = system::countEdges(sys);
-  config.triangles = system::countTriangles(sys);
-  config.holes = system::countHoles(sys);
-  config.perimeter = system::perimeterFromCounts(
-      static_cast<std::int64_t>(points.size()), config.edges, config.holes);
+  const system::ConfigSummary summary =
+      system::summarize(ParticleSystem(points));
+  config.edges = summary.edges;
+  config.triangles = summary.triangles;
+  config.holes = static_cast<int>(summary.holes);
+  config.perimeter = summary.perimeter;
   config.points = std::move(points);
   return config;
 }

@@ -43,10 +43,10 @@
 namespace sops::sim {
 namespace {
 
-[[nodiscard]] double alphaOf(const system::ParticleSystem& sys) {
-  return static_cast<double>(system::perimeter(sys)) /
-         static_cast<double>(
-             system::pMin(static_cast<std::int64_t>(sys.size())));
+/// α = p / p_min(n) (Definition 2.2) from a perimeter already computed.
+[[nodiscard]] double alphaOf(std::int64_t perimeter, std::size_t n) {
+  return static_cast<double>(perimeter) /
+         static_cast<double>(system::pMin(static_cast<std::int64_t>(n)));
 }
 
 /// Shared movement-chain knobs (the paper's ChainOptions, including the
@@ -264,17 +264,14 @@ std::unique_ptr<ScenarioRun> makeChainRun(system::ParticleSystem initial,
 template <typename Driver>
 void sampleCompression(const Driver& engine, std::vector<double>& out) {
   const system::ParticleSystem& sys = engine.system();
-  // One complement analysis serves holes AND the exact perimeter
-  // (p = 3n − e − 3 + 3·holes with the tracked edge count) — the
-  // boundary-walk recount system::perimeter would redo is skipped.
+  // One walk counts the holes; the exact perimeter follows from them and
+  // the tracked edge count (p = 3n − e − 3 + 3·holes).
   const std::int64_t holes = system::countHoles(sys);
   const std::int64_t perimeter = system::perimeterFromCounts(
       static_cast<std::int64_t>(sys.size()), engine.edges(), holes);
   out.push_back(static_cast<double>(engine.edges()));
   out.push_back(static_cast<double>(perimeter));
-  out.push_back(static_cast<double>(perimeter) /
-                static_cast<double>(
-                    system::pMin(static_cast<std::int64_t>(sys.size()))));
+  out.push_back(alphaOf(perimeter, sys.size()));
   out.push_back(engine.stats().movement.acceptanceRate());
   out.push_back(static_cast<double>(holes));
 }
@@ -310,9 +307,10 @@ class CompressionScenario : public Scenario {
 template <typename Driver>
 void sampleSeparation(const Driver& engine, std::vector<double>& out) {
   const system::ParticleSystem& sys = engine.system();
+  const std::int64_t perimeter = system::perimeter(sys);
   out.push_back(static_cast<double>(engine.edges()));
-  out.push_back(static_cast<double>(system::perimeter(sys)));
-  out.push_back(alphaOf(sys));
+  out.push_back(static_cast<double>(perimeter));
+  out.push_back(alphaOf(perimeter, sys.size()));
   // engine.edges() is the incrementally tracked e(σ) — no recount, and 0
   // edges (n = 1) reads as fraction 0 rather than NaN.
   out.push_back(engine.edges() == 0
@@ -367,9 +365,10 @@ class SeparationScenario : public Scenario {
 template <typename Driver>
 void sampleAlignment(const Driver& engine, std::vector<double>& out) {
   const system::ParticleSystem& sys = engine.system();
+  const std::int64_t perimeter = system::perimeter(sys);
   out.push_back(static_cast<double>(engine.edges()));
-  out.push_back(static_cast<double>(system::perimeter(sys)));
-  out.push_back(alphaOf(sys));
+  out.push_back(static_cast<double>(perimeter));
+  out.push_back(alphaOf(perimeter, sys.size()));
   out.push_back(engine.edges() == 0
                     ? 0.0
                     : static_cast<double>(engine.model().alignedEdges(sys)) /
@@ -442,8 +441,9 @@ class AmoebotRun : public ScenarioRun {
   }
   void sampleMetrics(std::vector<double>& out) const override {
     const system::ParticleSystem tails = sys_.tailConfiguration();
-    out.push_back(static_cast<double>(system::perimeter(tails)));
-    out.push_back(alphaOf(tails));
+    const std::int64_t perimeter = system::perimeter(tails);
+    out.push_back(static_cast<double>(perimeter));
+    out.push_back(alphaOf(perimeter, tails.size()));
     out.push_back(runner_->activations() == 0
                       ? 0.0
                       : static_cast<double>(runner_->sweepActivations()) /

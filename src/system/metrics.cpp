@@ -1,5 +1,6 @@
 #include "system/metrics.hpp"
 
+#include <bit>
 #include <cmath>
 #include <deque>
 #include <limits>
@@ -19,6 +20,81 @@ using lattice::pack;
 // opposites cover the other orientation).
 constexpr Direction kPositiveDirs[3] = {Direction::East, Direction::NorthEast,
                                         Direction::SouthEast};
+
+/// Occupied consecutive neighbour pairs of a 6-bit neighbour mask: bits i
+/// and i+1 (mod 6) are directions 60° apart, so each such pair closes a
+/// unit triangle at the mask's centre.
+[[nodiscard]] constexpr int triangleCorners(std::uint8_t around) noexcept {
+  const auto next =
+      static_cast<unsigned>((around >> 1) | ((around & 1u) << 5));
+  return std::popcount(static_cast<unsigned>(around) & next);
+}
+
+/// The three counts every configuration metric derives from, taken in one
+/// depth-first walk over the occupancy grid: one neighbour mask per
+/// particle gives its degree and triangle corners, and the walk's restarts
+/// count components.
+struct Census {
+  std::int64_t components = 0;
+  std::int64_t edges = 0;
+  std::int64_t triangles = 0;
+};
+
+[[nodiscard]] Census census(const ParticleSystem& sys) {
+  Census result;
+  if (sys.empty()) return result;
+  const BitGrid& occupancy = sys.grid();
+  // Every walked cell is a particle, so the interior-margin invariant makes
+  // both grids' unchecked neighbour gathers valid; allocateLike gives the
+  // visited plane the same window or tile directory, hence the same memory.
+  BitGrid visited;
+  visited.allocateLike(occupancy);
+  std::vector<TriPoint> stack;
+  std::int64_t degrees = 0;
+  std::int64_t corners = 0;
+  std::size_t reached = 0;
+  for (const TriPoint root : sys.positions()) {
+    if (reached == sys.size()) break;  // no component left to find
+    if (visited.testUnchecked(root)) continue;
+    ++result.components;
+    visited.set(root);
+    stack.push_back(root);
+    while (!stack.empty()) {
+      const TriPoint p = stack.back();
+      stack.pop_back();
+      ++reached;
+      const std::uint8_t around = occupancy.neighborMaskUnchecked(p);
+      degrees += std::popcount(static_cast<unsigned>(around));
+      corners += triangleCorners(around);
+      auto fresh = static_cast<unsigned>(
+          around & ~visited.neighborMaskUnchecked(p));
+      while (fresh != 0) {
+        const int i = std::countr_zero(fresh);
+        fresh &= fresh - 1;
+        const TriPoint q = p + lattice::offset(lattice::directionFromIndex(i));
+        visited.set(q);
+        stack.push_back(q);
+      }
+    }
+  }
+  // Each edge is seen from both ends, each triangle from its three corners.
+  result.edges = degrees / 2;
+  result.triangles = corners / 3;
+  return result;
+}
+
+/// Euler's formula on the induced plane graph: n − e + (t + holes + 1) =
+/// 1 + C, since every bounded face that is not a unit triangle holds
+/// exactly one hole.
+[[nodiscard]] std::int64_t holesOf(const Census& c, std::int64_t n) noexcept {
+  return c.components - n + c.edges - c.triangles;
+}
+
+/// p = 2e − 3t for a connected configuration (Lemmas 2.3–2.4 plus one
+/// hole term per hole, which the Euler count above makes exact).
+[[nodiscard]] std::int64_t perimeterOf(const Census& c) noexcept {
+  return 2 * c.edges - 3 * c.triangles;
+}
 
 }  // namespace
 
@@ -47,24 +123,7 @@ std::int64_t countTriangles(const ParticleSystem& sys) {
 }
 
 bool isConnected(const ParticleSystem& sys) {
-  if (sys.size() <= 1) return true;
-  util::FlatSet64 seen(sys.size());
-  std::deque<TriPoint> frontier;
-  frontier.push_back(sys.position(0));
-  seen.insert(pack(sys.position(0)));
-  std::size_t reached = 1;
-  while (!frontier.empty()) {
-    const TriPoint p = frontier.front();
-    frontier.pop_front();
-    for (const Direction d : kAllDirections) {
-      const TriPoint q = neighbor(p, d);
-      if (sys.occupied(q) && seen.insert(pack(q))) {
-        ++reached;
-        frontier.push_back(q);
-      }
-    }
-  }
-  return reached == sys.size();
+  return census(sys).components <= 1;
 }
 
 BoundingBox boundingBox(const ParticleSystem& sys) {
@@ -133,15 +192,16 @@ ComplementRegions analyzeComplement(const ParticleSystem& sys) {
 }
 
 int countHoles(const ParticleSystem& sys) {
-  return analyzeComplement(sys).holeCount;
+  return static_cast<int>(
+      holesOf(census(sys), static_cast<std::int64_t>(sys.size())));
 }
 
 std::int64_t perimeter(const ParticleSystem& sys) {
   SOPS_REQUIRE(!sys.empty(), "perimeter of empty system");
-  SOPS_REQUIRE(isConnected(sys),
+  const Census c = census(sys);
+  SOPS_REQUIRE(c.components == 1,
                "perimeter requires a connected configuration");
-  const auto n = static_cast<std::int64_t>(sys.size());
-  return perimeterFromCounts(n, countEdges(sys), countHoles(sys));
+  return perimeterOf(c);
 }
 
 std::int64_t pMin(std::int64_t n) {
@@ -188,12 +248,13 @@ ConfigSummary summarize(const ParticleSystem& sys) {
     s.connected = true;
     return s;
   }
-  s.edges = countEdges(sys);
-  s.triangles = countTriangles(sys);
-  s.holes = countHoles(sys);
-  s.connected = isConnected(sys);
+  const Census c = census(sys);
+  s.edges = c.edges;
+  s.triangles = c.triangles;
+  s.holes = holesOf(c, s.particles);
+  s.connected = c.components == 1;
   if (s.connected) {
-    s.perimeter = perimeterFromCounts(s.particles, s.edges, s.holes);
+    s.perimeter = perimeterOf(c);
     const std::int64_t minimum = pMin(s.particles);
     s.perimeterRatio = minimum > 0
                            ? static_cast<double>(s.perimeter) /

@@ -6,13 +6,25 @@
 /// t(σ), perimeter p(σ), holes, connectivity, and the extremal perimeter
 /// values p_min(n), p_max(n).
 ///
-/// Perimeter is computed in closed form as p = 3n − e − 3 + 3·holes for a
-/// connected configuration.  For hole-free configurations this reduces to
-/// Lemma 2.3 (e = 3n − p − 3); the hole term follows from the same
-/// exterior-angle count applied to each hole boundary (each hole boundary
-/// walk of length k contributes 2k − 6 dual edges instead of 2k + 6).  An
-/// independent boundary-walk tracer lives in boundary.hpp and is used by the
-/// test-suite to validate this formula on every enumerated configuration.
+/// Every count comes from O(n) word probes on the occupancy BitGrid, never
+/// from the bounding-box window's area.  One depth-first walk gathers each
+/// particle's 6-neighbour mask once, giving e (half the degree sum), t (a
+/// third of the occupied consecutive neighbour pairs) and the number of
+/// components C; its visited plane has the occupancy grid's geometry and
+/// hence its memory.  Two identities turn those into the rest:
+///
+///   - Euler's formula on the induced plane graph, n − e + (t + h + 1) =
+///     1 + C, gives holes h = C − n + e − t: every bounded face that is not
+///     a unit triangle encloses exactly one hole.
+///   - For a connected configuration p = 2e − 3t.  Hole-free, this is
+///     Lemmas 2.3–2.4 (e = 3n − p − 3, t = 2n − p − 2); with holes it equals
+///     perimeterFromCounts' p = 3n − e − 3 + 3h, the exterior-angle count
+///     applied to each hole boundary.
+///
+/// Two independent oracles stay on the slow path and are what the tests
+/// check these counts against: analyzeComplement() floods the unoccupied
+/// complement of the bounding-box window, and boundary.hpp's tracers walk
+/// the boundary cycles (perimeterTraced()).
 
 #include <cstdint>
 #include <vector>
@@ -29,7 +41,7 @@ namespace sops::system {
 [[nodiscard]] std::int64_t countTriangles(const ParticleSystem& sys);
 
 /// True iff the configuration graph (occupied vertices, induced edges) is
-/// connected.  The empty system counts as connected.
+/// connected.  The empty system counts as connected.  O(n).
 [[nodiscard]] bool isConnected(const ParticleSystem& sys);
 
 /// Axis-aligned bounding box in axial coordinates.
@@ -43,6 +55,8 @@ struct BoundingBox {
 
 /// Decomposition of the unoccupied complement (within a margin-1 window
 /// around the configuration) into the exterior region and finite holes.
+/// Costs the window's area, not n: the oracle for countHoles(), and what
+/// hexBoundaryCycles() labels hole cycles with.
 struct ComplementRegions {
   /// Number of holes (finite maximal connected unoccupied regions, §2.2).
   int holeCount = 0;
@@ -54,12 +68,12 @@ struct ComplementRegions {
 };
 [[nodiscard]] ComplementRegions analyzeComplement(const ParticleSystem& sys);
 
-/// Number of holes of the configuration.
+/// Number of holes of the configuration, C − n + e − t (0 when empty).
 [[nodiscard]] int countHoles(const ParticleSystem& sys);
 
 /// Perimeter p(σ) of a connected configuration (sum over all boundary
-/// walks, cut edges counted twice — see §2.2).  Precondition: connected,
-/// n ≥ 1.
+/// walks, cut edges counted twice — see §2.2), as 2e − 3t.  Precondition:
+/// connected, n ≥ 1.
 [[nodiscard]] std::int64_t perimeter(const ParticleSystem& sys);
 
 /// Perimeter given precomputed pieces (hot-ish paths that already know e/h).
@@ -83,7 +97,8 @@ struct ComplementRegions {
 /// diagnostics only.
 [[nodiscard]] int graphDiameter(const ParticleSystem& sys);
 
-/// One-stop summary used by benches and examples.
+/// One-stop summary used by benches and examples: one walk serves every
+/// field.
 struct ConfigSummary {
   std::int64_t particles = 0;
   std::int64_t edges = 0;
