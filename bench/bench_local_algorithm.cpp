@@ -17,13 +17,13 @@
 
 #include "amoebot/local_compression.hpp"
 #include "amoebot/parallel_scheduler.hpp"
-#include "amoebot/reference_local_kernel.hpp"
 #include "amoebot/scheduler.hpp"
 #include "analysis/csv.hpp"
 #include "bench_util.hpp"
 #include "core/scenario_models.hpp"
 #include "enumeration/exact_distribution.hpp"
 #include "markov/stationary.hpp"
+#include "oracles/reference_local_kernel.hpp"
 #include "system/canonical.hpp"
 #include "system/metrics.hpp"
 #include "system/shapes.hpp"

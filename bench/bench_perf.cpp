@@ -15,15 +15,15 @@
 
 #include "amoebot/local_compression.hpp"
 #include "amoebot/parallel_scheduler.hpp"
-#include "amoebot/reference_local_kernel.hpp"
 #include "amoebot/scheduler.hpp"
 #include "core/compression_chain.hpp"
 #include "core/move_table.hpp"
 #include "core/properties.hpp"
-#include "core/reference_kernel.hpp"
 #include "core/scenario_models.hpp"
 #include "core/sharded_chain_runner.hpp"
-#include "extensions/separation.hpp"
+#include "oracles/reference_kernel.hpp"
+#include "oracles/reference_local_kernel.hpp"
+#include "oracles/separation_chain.hpp"
 #include "sim/runner.hpp"
 #include "system/metrics.hpp"
 #include "system/shapes.hpp"
@@ -36,7 +36,7 @@ using namespace sops;
 // ---------------------------------------------------------------------------
 // Hot path: optimized vs reference.  The reference side is
 // core::ReferenceKernel / evaluateMoveSeed / ringMaskSeed from
-// core/reference_kernel.hpp — the same frozen seed kernel the
+// oracles/reference_kernel.hpp — the same frozen seed kernel the
 // golden-trajectory tests certify as draw-for-draw identical, so the
 // measured baseline is exactly the certified one.
 

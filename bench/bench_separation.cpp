@@ -21,7 +21,7 @@
 #include "analysis/csv.hpp"
 #include "bench_util.hpp"
 #include "core/scenario_models.hpp"
-#include "extensions/separation.hpp"
+#include "oracles/separation_chain.hpp"
 #include "sim/runner.hpp"
 #include "system/metrics.hpp"
 #include "system/shapes.hpp"

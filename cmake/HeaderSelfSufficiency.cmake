@@ -1,5 +1,5 @@
-# Header self-sufficiency gate: every public header under src/ must
-# compile standalone.
+# Header self-sufficiency gate: every public header under src/, and every
+# oracle header under oracles/, must compile standalone.
 #
 # clang-tidy's profile does not check include hygiene, and a header that
 # compiles only because every current includer happens to include its
@@ -8,8 +8,11 @@
 # gate generates one tiny TU per header that includes it twice (the
 # second include also proves the guard) and nothing else, groups the TUs
 # into one object library per src/ subdirectory, and registers building
-# each group as a ctest.  The libraries are EXCLUDE_FROM_ALL: a plain
-# build never pays for them; `ctest -R HeaderGate` (or CI) does.
+# each group as a ctest.  The oracle headers form one more group,
+# HeaderGate.oracles, built against sops_oracles (they include as
+# "oracles/<name>.hpp" from the repository root).  The libraries are
+# EXCLUDE_FROM_ALL: a plain build never pays for them; `ctest -R
+# HeaderGate` (or CI) does.
 #
 # Exclusions: none today.  If a header ever legitimately cannot stand
 # alone (e.g. an x-macro fragment meant for textual inclusion), list it
@@ -24,6 +27,12 @@ function(sops_add_header_gate)
   file(GLOB_RECURSE _sops_gate_headers
        RELATIVE ${CMAKE_CURRENT_SOURCE_DIR}/src
        CONFIGURE_DEPENDS ${CMAKE_CURRENT_SOURCE_DIR}/src/*.hpp)
+  # Oracle headers are named relative to the repository root, so their
+  # group is "oracles".
+  file(GLOB _sops_oracle_headers
+       RELATIVE ${CMAKE_CURRENT_SOURCE_DIR}
+       CONFIGURE_DEPENDS ${CMAKE_CURRENT_SOURCE_DIR}/oracles/*.hpp)
+  list(APPEND _sops_gate_headers ${_sops_oracle_headers})
   set(_sops_gate_groups)
   foreach(_header IN LISTS _sops_gate_headers)
     if(_header IN_LIST SOPS_HEADER_GATE_EXCLUDE)
@@ -47,9 +56,13 @@ function(sops_add_header_gate)
     set(_target sops_header_gate_${_group})
     add_library(${_target} OBJECT EXCLUDE_FROM_ALL
                 ${_sops_gate_sources_${_group}})
-    target_include_directories(${_target}
-      PRIVATE ${CMAKE_CURRENT_SOURCE_DIR}/src)
-    target_link_libraries(${_target} PRIVATE Threads::Threads)
+    if(_group STREQUAL "oracles")
+      target_link_libraries(${_target} PRIVATE sops_oracles)
+    else()
+      target_include_directories(${_target}
+        PRIVATE ${CMAKE_CURRENT_SOURCE_DIR}/src)
+      target_link_libraries(${_target} PRIVATE Threads::Threads)
+    endif()
     sops_apply_warnings(${_target})
     # RUN_SERIAL: each test drives the shared build directory; concurrent
     # ninja invocations would contend on the same build state.

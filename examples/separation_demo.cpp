@@ -5,13 +5,13 @@
 //   ./examples/separation_demo [key=value ...]
 //     n=80 lambda=4.0 gamma=4.0 steps=4000000
 //   (the color-pattern rendering needs the model's colors, so this demo
-//   drives the reference SeparationChain directly; the facade equivalent
-//   is `spps scenario=separation ...`)
+//   drives core::SeparationEngine directly; the facade equivalent is
+//   `spps scenario=separation ...`)
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "extensions/separation.hpp"
+#include "core/scenario_models.hpp"
 #include "sim/params.hpp"
 #include "system/metrics.hpp"
 #include "system/shapes.hpp"
@@ -20,9 +20,10 @@
 namespace {
 
 /// Two-glyph rendering: 'a' for color 0, 'b' for color 1.
-std::string renderColors(const sops::extensions::SeparationChain& chain) {
+std::string renderColors(const sops::core::SeparationEngine& engine) {
   using namespace sops;
-  const system::ParticleSystem& sys = chain.system();
+  const system::ParticleSystem& sys = engine.system();
+  const std::vector<std::uint8_t> colors = engine.model().colors(sys);
   const system::BoundingBox box = system::boundingBox(sys);
   const std::int64_t colMin =
       2 * static_cast<std::int64_t>(box.minX) + box.minY;
@@ -37,7 +38,7 @@ std::string renderColors(const sops::extensions::SeparationChain& chain) {
     const auto col = static_cast<std::size_t>(
         2 * static_cast<std::int64_t>(p.x) + p.y - colMin);
     rows[static_cast<std::size_t>(box.maxY - p.y)][col] =
-        chain.colors()[id] == 0 ? 'a' : 'b';
+        colors[id] == 0 ? 'a' : 'b';
   }
   std::string out;
   for (const std::string& row : rows) {
@@ -66,24 +67,27 @@ int main(int argc, char** argv) {
   const auto iterations =
       static_cast<std::uint64_t>(params.getInt("steps", 4000000));
 
-  std::vector<std::uint8_t> colors =
-      system::alternatingClasses(static_cast<std::size_t>(n), 2);
-  extensions::SeparationOptions options;
+  core::SeparationModel::Options options;
   options.lambda = lambda;
   options.gamma = gamma;
-  extensions::SeparationChain chain(system::lineConfiguration(n), colors,
-                                    options, 42);
-  std::printf("start (alternating colors):\n%s\n", renderColors(chain).c_str());
-  chain.run(iterations);
-  const double hom = static_cast<double>(chain.homogeneousEdges()) /
-                     static_cast<double>(system::countEdges(chain.system()));
+  core::SeparationEngine engine(
+      system::lineConfiguration(n),
+      core::SeparationModel(
+          options, system::alternatingClasses(static_cast<std::size_t>(n), 2)),
+      42);
+  std::printf("start (alternating colors):\n%s\n",
+              renderColors(engine).c_str());
+  engine.run(iterations);
+  const double hom =
+      static_cast<double>(engine.model().homogeneousEdges(engine.system())) /
+      static_cast<double>(engine.edges());
   std::printf("after %llu iterations (lambda=%.1f, gamma=%.2f):\n%s\n",
               static_cast<unsigned long long>(iterations), lambda, gamma,
-              renderColors(chain).c_str());
+              renderColors(engine).c_str());
   std::printf("monochromatic edge fraction: %.3f  (gamma>1 segregates, "
               "gamma<1 integrates)\n", hom);
   std::printf("perimeter ratio alpha: %.3f\n",
-              static_cast<double>(system::perimeter(chain.system())) /
+              static_cast<double>(system::perimeter(engine.system())) /
                   static_cast<double>(system::pMin(n)));
   return 0;
 }

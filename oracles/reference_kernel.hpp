@@ -1,5 +1,5 @@
-#ifndef SOPS_CORE_REFERENCE_KERNEL_HPP
-#define SOPS_CORE_REFERENCE_KERNEL_HPP
+#ifndef SOPS_ORACLES_REFERENCE_KERNEL_HPP
+#define SOPS_ORACLES_REFERENCE_KERNEL_HPP
 
 /// \file reference_kernel.hpp
 /// The *frozen seed implementation* of one iteration of Algorithm M:
@@ -12,8 +12,9 @@
 /// This is the correctness and performance anchor for the optimized hot
 /// path (bitboard + move/decision tables): the golden-trajectory tests
 /// assert core::CompressionEngine is draw-for-draw identical to
-/// ReferenceKernel, and bench_perf measures the speedup against it.  It is
-/// deliberately NOT part of any production path — do not "optimize" it;
+/// ReferenceKernel, and bench_perf measures the speedup against it.  It
+/// lives in the sops_oracles library, which only the tests and benches
+/// link, so no production path can reach it — do not "optimize" it;
 /// change it only if the chain's specified semantics change, in which case
 /// the golden tests must be revisited too.
 
@@ -160,4 +161,4 @@ class ReferenceKernel {
 
 }  // namespace sops::core
 
-#endif  // SOPS_CORE_REFERENCE_KERNEL_HPP
+#endif  // SOPS_ORACLES_REFERENCE_KERNEL_HPP

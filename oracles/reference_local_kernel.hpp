@@ -1,5 +1,5 @@
-#ifndef SOPS_AMOEBOT_REFERENCE_LOCAL_KERNEL_HPP
-#define SOPS_AMOEBOT_REFERENCE_LOCAL_KERNEL_HPP
+#ifndef SOPS_ORACLES_REFERENCE_LOCAL_KERNEL_HPP
+#define SOPS_ORACLES_REFERENCE_LOCAL_KERNEL_HPP
 
 /// \file reference_local_kernel.hpp
 /// The *frozen seed implementation* of the amoebot substrate and one
@@ -14,10 +14,11 @@
 /// golden-trajectory tests assert AmoebotSystem +
 /// LocalCompressionAlgorithm are draw-for-draw identical to this kernel
 /// under every scheduler, and bench_local_algorithm / bench_perf measure
-/// the speedup against it.  It mirrors core/reference_kernel.hpp for the
-/// global chain M.  It is deliberately NOT part of any production path —
-/// do not "optimize" it; change it only if Algorithm A's specified
-/// semantics change, in which case the golden tests must be revisited too.
+/// the speedup against it.  It mirrors oracles/reference_kernel.hpp for
+/// the global chain M and, like it, lives in the sops_oracles library that
+/// only tests and benches link — do not "optimize" it; change it only if
+/// Algorithm A's specified semantics change, in which case the golden
+/// tests must be revisited too.
 
 #include <cmath>
 #include <cstdint>
@@ -263,4 +264,4 @@ class ReferenceLocalKernel {
 
 }  // namespace sops::amoebot::reference
 
-#endif  // SOPS_AMOEBOT_REFERENCE_LOCAL_KERNEL_HPP
+#endif  // SOPS_ORACLES_REFERENCE_LOCAL_KERNEL_HPP

@@ -1,4 +1,4 @@
-#include "extensions/separation.hpp"
+#include "oracles/separation_chain.hpp"
 
 #include "core/draw_guard.hpp"
 #include "core/move_table.hpp"

@@ -1,7 +1,7 @@
-#ifndef SOPS_EXTENSIONS_SEPARATION_HPP
-#define SOPS_EXTENSIONS_SEPARATION_HPP
+#ifndef SOPS_ORACLES_SEPARATION_CHAIN_HPP
+#define SOPS_ORACLES_SEPARATION_CHAIN_HPP
 
-/// \file separation.hpp
+/// \file separation_chain.hpp
 /// Heterogeneous (two-color) extension of the compression chain, à la the
 /// separation work the paper's conclusion points to ([9], Cannon, Daymude,
 /// Gokmen, Randall, Richa 2018).
@@ -19,10 +19,12 @@
 /// This class is the *reference* implementation: every neighbor-color
 /// count goes through its own cell → id hash map, kept in step with its
 /// own accepted moves and independent of the system's bitboard, and no
-/// state beyond the color vector and that map is cached.  The production path is the identical kernel on
-/// the bitboard engine — core::SeparationEngine
-/// (core/scenario_models.hpp), draw-for-draw equal to this chain by
-/// tests/biased_engine_test.cpp and ≥3× faster (BENCH_perf.json).
+/// state beyond the color vector and that map is cached.  It lives in the
+/// sops_oracles library, which only tests and benches link.  The
+/// production path is the identical kernel on the bitboard engine —
+/// core::SeparationEngine (core/scenario_models.hpp), draw-for-draw equal
+/// to this chain by tests/biased_engine_test.cpp and ≥3× faster
+/// (BENCH_perf.json).
 
 #include <cstdint>
 #include <vector>
@@ -108,4 +110,4 @@ class SeparationChain {
 
 }  // namespace sops::extensions
 
-#endif  // SOPS_EXTENSIONS_SEPARATION_HPP
+#endif  // SOPS_ORACLES_SEPARATION_CHAIN_HPP

@@ -20,10 +20,11 @@
 /// core::moveTable() and λ into a 256-entry decision table: one ring
 /// gather (AmoebotSystem::nStarRingMask — two bit-plane loads per word),
 /// one 16-byte table load, one uniform draw.  RNG draw order is
-/// *bit-identical* to the frozen seed kernel in reference_local_kernel.hpp
-/// (the uniform is drawn exactly when e ≠ 5 and Property 1 or 2 holds,
-/// before the flag test short-circuits) — tests/local_golden_test.cpp
-/// locks this down draw-for-draw under every scheduler.
+/// *bit-identical* to the frozen seed kernel in
+/// oracles/reference_local_kernel.hpp (the uniform is drawn exactly when
+/// e ≠ 5 and Property 1 or 2 holds, before the flag test short-circuits)
+/// — tests/local_golden_test.cpp locks this down draw-for-draw under
+/// every scheduler.
 ///
 /// Byzantine particles (§3.3) expand whenever physically possible and
 /// refuse to contract; crashed particles never act.

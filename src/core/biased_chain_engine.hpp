@@ -34,7 +34,8 @@
 /// the step body is exactly the paper's chain M: the golden tests
 /// (tests/golden_trajectory_test.cpp, tests/biased_engine_test.cpp) pin
 /// the compression scenario draw-for-draw and outcome-for-outcome against
-/// the frozen seed kernel core::ReferenceKernel.
+/// the frozen seed kernel core::ReferenceKernel
+/// (oracles/reference_kernel.hpp).
 ///
 /// The move body itself lives in the free chainEventStep() below, shared
 /// with core::ShardedChainRunner (the multi-core Poissonized execution of
@@ -44,6 +45,7 @@
 /// core/model_contract.hpp, which also owns AuxOutcome and the
 /// ModelInteractionRadius trait.
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <type_traits>
@@ -251,26 +253,27 @@ class BiasedChainEngine {
     for (std::uint64_t i = 0; i < iterations; ++i) step();
   }
 
-  /// Runs `iterations` steps, invoking callback(done) every
-  /// `checkpointEvery` steps (and once at the end if not aligned).  With a
-  /// cancel token installed, the loop returns early at burst granularity
-  /// once the token trips — steps already taken are exactly the steps the
-  /// sequential chain would have taken uninterrupted (sub-bursting is
-  /// draw-for-draw identical), so a snapshot at the cancel point resumes
-  /// the identical trajectory.
-  template <typename Callback>
-  void runWithCheckpoints(std::uint64_t iterations,
-                          std::uint64_t checkpointEvery, Callback&& callback,
-                          const CancelToken* cancel = nullptr) {
-    SOPS_REQUIRE(checkpointEvery > 0, "checkpointEvery must be positive");
+  /// Cancel-poll granularity of runAtLeast, in chain steps.
+  static constexpr std::uint64_t kCancelBurst = std::uint64_t{1} << 16;
+
+  /// Installs a cooperative cancel token polled by runAtLeast between
+  /// bursts.  nullptr uninstalls.
+  void setCancelToken(const CancelToken* cancel) noexcept { cancel_ = cancel; }
+
+  /// Runs exactly `steps` steps in bursts of kCancelBurst, returning early
+  /// between bursts once the cancel token trips; returns the number run.
+  /// Sub-bursting is draw-for-draw identical to run(steps), so the steps
+  /// taken before a cancel are exactly the uninterrupted trajectory's
+  /// prefix and a snapshot taken there resumes it.  (The sharded runner's
+  /// runAtLeast rounds up to whole epochs; this one never overshoots.)
+  std::uint64_t runAtLeast(std::uint64_t steps) {
     std::uint64_t done = 0;
-    while (done < iterations) {
-      if (isCancelled(cancel)) return;
-      const std::uint64_t burst = std::min(checkpointEvery, iterations - done);
-      for (std::uint64_t i = 0; i < burst; ++i) step();
+    while (done < steps && !isCancelled(cancel_)) {
+      const std::uint64_t burst = std::min(kCancelBurst, steps - done);
+      run(burst);
       done += burst;
-      callback(done);
     }
+    return done;
   }
 
   [[nodiscard]] const system::ParticleSystem& system() const noexcept {
@@ -336,6 +339,7 @@ class BiasedChainEngine {
   std::uint32_t particleCount32_ = 0;
   bool greedy_ = false;
   std::array<MoveDecision, 256> decisions_;
+  const CancelToken* cancel_ = nullptr;
 };
 
 }  // namespace sops::core

@@ -7,7 +7,7 @@
 /// A CancelToken is a shared atomic flag plus an optional wall-clock
 /// deadline.  Producers (signal handlers, deadline timers, controlling
 /// threads) call requestCancel(); consumers (the facade's replica loop,
-/// the stripe epoch executor's loop, the engine's checkpoint loop) poll
+/// the stripe epoch executor's loop, the sequential engine's runAtLeast) poll
 /// cancelled() at safe points and return early with whatever progress
 /// they made.  Cancellation is a *resumable abort*: the run's state stays
 /// consistent, and with a snapshot-file configured the facade writes a

@@ -62,7 +62,7 @@ struct ChainOptions {
 /// for ℓ', ring-mask gather, one 16-byte load, and (only when the
 /// Metropolis threshold is < 1) one lazy uniform draw — RNG draw order is
 /// bit-identical to the branch-ladder reference kernel
-/// (core/reference_kernel.hpp).
+/// (oracles/reference_kernel.hpp).
 struct MoveDecision {
   double threshold;      ///< λ^{e'−e} (exact filter threshold)
   std::int8_t delta;     ///< e' − e

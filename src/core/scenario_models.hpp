@@ -25,8 +25,9 @@
 /// record of the colors — a swap flips four bits and needs no partner
 /// identity; alignment keeps its per-particle orientations beside its
 /// planes.  tests/biased_engine_test.cpp pins the separation
-/// model to the reference chain (extensions::SeparationChain, which keeps
-/// its own hash occupancy) draw for draw.
+/// model to the reference chain (extensions::SeparationChain in
+/// oracles/separation_chain.hpp, which keeps its own hash occupancy) draw
+/// for draw.
 
 #include <bit>
 #include <cstdint>
@@ -146,7 +147,7 @@ class ShadowPlanes {
 // ---------------------------------------------------------------------------
 // Compression: w(σ) = λ^e.  The factor path compiles away; the engine step
 // is the paper's chain M, draw-for-draw the frozen core::ReferenceKernel
-// (golden-tested).
+// (oracles/reference_kernel.hpp; golden-tested).
 
 class CompressionModel {
  public:
@@ -182,8 +183,9 @@ class CompressionModel {
 // ---------------------------------------------------------------------------
 // Separation: w(σ) = λ^e γ^hom over two colors; movement moves carry the
 // particle's color, and a color swap across a heterochromatic edge is the
-// auxiliary move.  Reproduces extensions::SeparationChain's kernel exactly
-// (same draw order, same thresholds via lambdaPower) on the fast path.
+// auxiliary move.  Reproduces the reference extensions::SeparationChain's
+// kernel (oracles/separation_chain.hpp) exactly — same draw order, same
+// thresholds via lambdaPower — on the fast path.
 
 class SeparationModel {
  public:

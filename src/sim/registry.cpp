@@ -59,8 +59,4 @@ std::string Registry::knownNames() const {
   return names;
 }
 
-ScenarioRegistrar::ScenarioRegistrar(std::unique_ptr<Scenario> scenario) {
-  Registry::instance().add(std::move(scenario));
-}
-
 }  // namespace sops::sim

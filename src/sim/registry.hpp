@@ -4,9 +4,8 @@
 /// \file registry.hpp
 /// String-keyed scenario registry: the one place a workload plugs into.
 ///
-/// Adding a scenario is a model file plus one registration — either a call
-/// to Registry::instance().add(...) or a static sim::ScenarioRegistrar in
-/// the scenario's translation unit.  The shipped scenarios (compression,
+/// Adding a scenario is a model file plus one registration, a call to
+/// Registry::instance().add(...).  The shipped scenarios (compression,
 /// separation, alignment, amoebot) register through registerBuiltins(),
 /// which Registry::instance() invokes lazily so that static-library
 /// dead-stripping can never lose them.  Lookups by unknown name throw
@@ -43,12 +42,6 @@ class Registry {
  private:
   Registry() = default;
   std::vector<std::unique_ptr<Scenario>> scenarios_;
-};
-
-/// Static-initialization helper for out-of-tree scenarios:
-///   static sim::ScenarioRegistrar reg{std::make_unique<MyScenario>()};
-struct ScenarioRegistrar {
-  explicit ScenarioRegistrar(std::unique_ptr<Scenario> scenario);
 };
 
 /// Registers the four shipped scenarios into `registry` (idempotent only

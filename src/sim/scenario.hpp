@@ -10,10 +10,11 @@
 /// seed.  The chain scenarios wrap core::BiasedChainEngine instances
 /// *exactly* as the direct call sites do (same constructor arguments, same
 /// seed, same step loop), so a facade run is draw-for-draw identical to
-/// the pre-facade code path; tests/sim_api_test.cpp pins this for all
-/// three weight models.  The amoebot scenario wraps the sharded Poisson
-/// runner, whose trajectory is deterministic per seed for every thread
-/// count.
+/// the direct code path; tests/sim_api_test.cpp pins this for all three
+/// weight models.  One adapter (ChainRun in sim/scenarios.cpp) serves the
+/// engine and core::ShardedChainRunner alike.  The amoebot scenario wraps
+/// the sharded Poisson runner, whose trajectory is deterministic per seed
+/// for every thread count.
 
 #include <cstdint>
 #include <memory>

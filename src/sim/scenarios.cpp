@@ -3,11 +3,13 @@
 ///
 /// Each chain scenario constructs its core::BiasedChainEngine exactly as
 /// the direct call sites do — same initial system, same model options,
-/// same seed, and advance() is engine.run() — so a facade run is
-/// draw-for-draw identical to the pre-facade code path (pinned by
-/// tests/sim_api_test.cpp against direct engine runs).  The amoebot
-/// scenario drives Algorithm A through the sharded Poisson runner, whose
-/// trajectory is a pure function of the seed for every thread count.
+/// same seed, and advance() is engine.runAtLeast(), draw-for-draw
+/// engine.run() — so a facade run is identical to the direct code path
+/// (pinned by tests/sim_api_test.cpp against direct engine runs).  One
+/// adapter, ChainRun<Driver>, wraps the engine and the sharded runner
+/// alike.  The amoebot scenario drives Algorithm A through the sharded
+/// Poisson runner, whose trajectory is a pure function of the seed for
+/// every thread count.
 ///
 /// Thread budget (the workerThreads argument of Scenario::start): chain
 /// scenarios run the sequential engine at threads ≤ 1 — preserving the
@@ -20,7 +22,7 @@
 /// sharded either way, spends the whole budget (0 = all cores).
 ///
 /// Adding a workload = one weight model (core/scenario_models.hpp style)
-/// plus one Scenario subclass here (or anywhere, via ScenarioRegistrar).
+/// plus one Scenario subclass here, registered in registerBuiltins().
 
 #include <cmath>
 #include <memory>
@@ -127,117 +129,62 @@ void addShardedKeys(ParamSchema& schema) {
   return options;
 }
 
-/// One replica of any weight-model engine: advance() is engine.run(), and
-/// a per-scenario sampler maps the engine onto the declared metrics.
-template <typename Model>
-  requires core::ChainWeightModel<Model>
-class EngineRun : public ScenarioRun {
+/// One replica of a chain scenario on either driver — the sequential
+/// BiasedChainEngine or the multi-core ShardedChainRunner.  Both expose
+/// the same runAtLeast/setCancelToken/system()/edges()/stats()/model()/
+/// saveState/restoreState surface, so one adapter and one sampler per
+/// scenario serve both, and a metric cannot drift between the two
+/// execution disciplines.  advance() is driver.runAtLeast(): exact for the
+/// engine, rounded up to whole epochs for the runner (stepsDone() reports
+/// the exact count either way).
+template <typename Driver>
+class ChainRun : public ScenarioRun {
  public:
-  using Engine = core::BiasedChainEngine<Model>;
-  using Sampler = void (*)(const Engine&, std::vector<double>&);
+  using Sampler = void (*)(const Driver&, std::vector<double>&);
 
-  EngineRun(Engine engine, Sampler sampler)
-      : engine_(std::move(engine)), sampler_(sampler) {}
+  ChainRun(Driver driver, Sampler sampler)
+      : driver_(std::move(driver)), sampler_(sampler) {}
 
-  void advance(std::uint64_t steps) override {
-    if (cancel_ == nullptr) {
-      engine_.run(steps);
-      return;
-    }
-    // Sub-bursting the sequential chain is draw-for-draw identical to one
-    // run() call, so a deadline/cancel interruption leaves exactly the
-    // prefix of the uninterrupted trajectory.
-    engine_.runWithCheckpoints(steps, kCancelBurst, [](std::uint64_t) {},
-                               cancel_);
-  }
+  void advance(std::uint64_t steps) override { driver_.runAtLeast(steps); }
   [[nodiscard]] std::uint64_t stepsDone() const override {
-    return engine_.stats().steps;
+    return driver_.stats().steps;
   }
   void sampleMetrics(std::vector<double>& out) const override {
-    sampler_(engine_, out);
+    sampler_(driver_, out);
   }
   [[nodiscard]] system::ParticleSystem snapshot() const override {
-    return engine_.system();
+    return driver_.system();
   }
   [[nodiscard]] std::string regime() const override {
-    return engine_.system().regimeName();
+    return driver_.system().regimeName();
   }
   void setCancelToken(const core::CancelToken* cancel) override {
-    cancel_ = cancel;
+    driver_.setCancelToken(cancel);
   }
   [[nodiscard]] bool supportsSnapshots() const override { return true; }
   void saveState(system::SnapshotWriter& w) const override {
-    engine_.saveState(w);
+    driver_.saveState(w);
   }
   void restoreState(system::SnapshotReader& r) override {
-    engine_.restoreState(r);
+    driver_.restoreState(r);
   }
 
  private:
-  /// Cancel-poll granularity of the sequential engine, in chain steps.
-  static constexpr std::uint64_t kCancelBurst = std::uint64_t{1} << 16;
-
-  Engine engine_;
-  Sampler sampler_;
-  const core::CancelToken* cancel_ = nullptr;
-};
-
-/// One replica on the multi-core sharded runner: advance() rounds up to
-/// whole epochs (stepsDone() reports the exact count, like the amoebot
-/// run).  Samplers are shared with EngineRun via the Driver template
-/// parameter — engine and runner expose the same system()/edges()/
-/// stats()/model() surface, so a metric cannot drift between the two
-/// execution disciplines.
-template <typename Model>
-  requires core::ChainWeightModel<Model>
-class ShardedRun : public ScenarioRun {
- public:
-  using Runner = core::ShardedChainRunner<Model>;
-  using Sampler = void (*)(const Runner&, std::vector<double>&);
-
-  ShardedRun(Runner runner, Sampler sampler)
-      : runner_(std::move(runner)), sampler_(sampler) {}
-
-  void advance(std::uint64_t steps) override { runner_.runAtLeast(steps); }
-  [[nodiscard]] std::uint64_t stepsDone() const override {
-    return runner_.stats().steps;
-  }
-  void sampleMetrics(std::vector<double>& out) const override {
-    sampler_(runner_, out);
-  }
-  [[nodiscard]] system::ParticleSystem snapshot() const override {
-    return runner_.system();
-  }
-  [[nodiscard]] std::string regime() const override {
-    return runner_.system().regimeName();
-  }
-  void setCancelToken(const core::CancelToken* cancel) override {
-    runner_.setCancelToken(cancel);
-  }
-  [[nodiscard]] bool supportsSnapshots() const override { return true; }
-  void saveState(system::SnapshotWriter& w) const override {
-    runner_.saveState(w);
-  }
-  void restoreState(system::SnapshotReader& r) override {
-    runner_.restoreState(r);
-  }
-
- private:
-  Runner runner_;
+  Driver driver_;
   Sampler sampler_;
 };
 
 /// Builds the sequential-or-sharded run for one chain scenario: threads
 /// ≤ 1 is the sequential engine (the draw-for-draw historical path),
-/// threads > 1 the sharded runner with that stripe budget.
-template <typename Model, typename EngineSampler, typename ShardedSampler>
+/// threads > 1 the sharded runner with that stripe budget.  `sample` is a
+/// captureless generic lambda, instantiated for whichever driver runs.
+template <typename Model, typename Sample>
   requires core::ChainWeightModel<Model>
 std::unique_ptr<ScenarioRun> makeChainRun(system::ParticleSystem initial,
                                           Model model, const RunSpec& spec,
                                           std::uint64_t replicaSeed,
                                           unsigned workerThreads,
-                                          EngineSampler engineSampler,
-                                          ShardedSampler shardedSampler) {
+                                          Sample sample) {
   const double rateSpread = rateSpreadFrom(spec.params);
   if (workerThreads > 1) {
     core::ShardedChainOptions options;
@@ -245,24 +192,23 @@ std::unique_ptr<ScenarioRun> makeChainRun(system::ParticleSystem initial,
     options.targetEventsPerEpoch = epochEventsFrom(spec.params);
     options.adaptiveEpochs = spec.params.getBool("epoch-adaptive", true);
     options.rates = rampRates(rateSpread, initial.size());
-    return std::make_unique<ShardedRun<Model>>(
-        core::ShardedChainRunner<Model>(std::move(initial), std::move(model),
-                                        replicaSeed, options),
-        shardedSampler);
+    using Runner = core::ShardedChainRunner<Model>;
+    return std::make_unique<ChainRun<Runner>>(
+        Runner(std::move(initial), std::move(model), replicaSeed, options),
+        sample);
   }
   SOPS_REQUIRE(rateSpread == 0.0,
                "rate-spread requires threads > 1 (the sequential chain "
                "activates uniformly)");
-  return std::make_unique<EngineRun<Model>>(
-      core::BiasedChainEngine<Model>(std::move(initial), std::move(model),
-                                     replicaSeed),
-      engineSampler);
+  using Engine = core::BiasedChainEngine<Model>;
+  return std::make_unique<ChainRun<Engine>>(
+      Engine(std::move(initial), std::move(model), replicaSeed), sample);
 }
 
 // -- compression ------------------------------------------------------------
 
-template <typename Driver>
-void sampleCompression(const Driver& engine, std::vector<double>& out) {
+constexpr auto sampleCompression = [](const auto& engine,
+                                      std::vector<double>& out) {
   const system::ParticleSystem& sys = engine.system();
   // One walk counts the holes; the exact perimeter follows from them and
   // the tracked edge count (p = 3n − e − 3 + 3·holes).
@@ -274,7 +220,7 @@ void sampleCompression(const Driver& engine, std::vector<double>& out) {
   out.push_back(alphaOf(perimeter, sys.size()));
   out.push_back(engine.stats().movement.acceptanceRate());
   out.push_back(static_cast<double>(holes));
-}
+};
 
 class CompressionScenario : public Scenario {
  public:
@@ -297,15 +243,14 @@ class CompressionScenario : public Scenario {
     return makeChainRun(
         spec.makeInitial(replicaSeed),
         core::CompressionModel(chainOptionsFrom(spec.params)), spec,
-        replicaSeed, workerThreads, &sampleCompression<core::CompressionEngine>,
-        &sampleCompression<core::ShardedChainRunner<core::CompressionModel>>);
+        replicaSeed, workerThreads, sampleCompression);
   }
 };
 
 // -- separation -------------------------------------------------------------
 
-template <typename Driver>
-void sampleSeparation(const Driver& engine, std::vector<double>& out) {
+constexpr auto sampleSeparation = [](const auto& engine,
+                                     std::vector<double>& out) {
   const system::ParticleSystem& sys = engine.system();
   const std::int64_t perimeter = system::perimeter(sys);
   out.push_back(static_cast<double>(engine.edges()));
@@ -318,7 +263,7 @@ void sampleSeparation(const Driver& engine, std::vector<double>& out) {
                     : static_cast<double>(
                           engine.model().homogeneousEdges(sys)) /
                           static_cast<double>(engine.edges()));
-}
+};
 
 class SeparationScenario : public Scenario {
  public:
@@ -354,16 +299,14 @@ class SeparationScenario : public Scenario {
     auto colors = system::alternatingClasses(initial.size(), 2);
     return makeChainRun(
         std::move(initial), core::SeparationModel(options, std::move(colors)),
-        spec, replicaSeed, workerThreads,
-        &sampleSeparation<core::SeparationEngine>,
-        &sampleSeparation<core::ShardedChainRunner<core::SeparationModel>>);
+        spec, replicaSeed, workerThreads, sampleSeparation);
   }
 };
 
 // -- alignment --------------------------------------------------------------
 
-template <typename Driver>
-void sampleAlignment(const Driver& engine, std::vector<double>& out) {
+constexpr auto sampleAlignment = [](const auto& engine,
+                                    std::vector<double>& out) {
   const system::ParticleSystem& sys = engine.system();
   const std::int64_t perimeter = system::perimeter(sys);
   out.push_back(static_cast<double>(engine.edges()));
@@ -373,7 +316,7 @@ void sampleAlignment(const Driver& engine, std::vector<double>& out) {
                     ? 0.0
                     : static_cast<double>(engine.model().alignedEdges(sys)) /
                           static_cast<double>(engine.edges()));
-}
+};
 
 class AlignmentScenario : public Scenario {
  public:
@@ -414,8 +357,7 @@ class AlignmentScenario : public Scenario {
     return makeChainRun(
         std::move(initial),
         core::AlignmentModel(options, std::move(orientations)), spec,
-        replicaSeed, workerThreads, &sampleAlignment<core::AlignmentEngine>,
-        &sampleAlignment<core::ShardedChainRunner<core::AlignmentModel>>);
+        replicaSeed, workerThreads, sampleAlignment);
   }
 };
 

@@ -27,9 +27,9 @@
 #include "core/biased_chain_engine.hpp"
 #include "core/compression_chain.hpp"
 #include "core/draw_guard.hpp"
-#include "core/reference_kernel.hpp"
 #include "core/scenario_models.hpp"
-#include "extensions/separation.hpp"
+#include "oracles/reference_kernel.hpp"
+#include "oracles/separation_chain.hpp"
 #include "system/metrics.hpp"
 #include "system/shapes.hpp"
 

@@ -275,16 +275,6 @@ TEST(ChainBehavior, GreedyOptionOnlyMovesWeaklyUphill) {
   }
 }
 
-TEST(ChainBehavior, RunWithCheckpointsCoversAllIterations) {
-  CompressionEngine chain =
-      makeEngine(system::lineConfiguration(10), withLambda(2.0), 3);
-  std::vector<std::uint64_t> seen;
-  chain.runWithCheckpoints(
-      2500, 1000, [&seen](std::uint64_t done) { seen.push_back(done); });
-  EXPECT_EQ(seen, (std::vector<std::uint64_t>{1000, 2000, 2500}));
-  EXPECT_EQ(chain.stats().steps, 2500u);
-}
-
 TEST(ChainBehavior, LambdaBelowOneDisperses) {
   // λ < 1 disfavors neighbors: a compact spiral should lose edges.
   CompressionEngine chain =

@@ -17,8 +17,8 @@
 #include "core/biased_chain_engine.hpp"
 #include "core/compression_chain.hpp"
 #include "core/properties.hpp"
-#include "core/reference_kernel.hpp"
 #include "core/scenario_models.hpp"
+#include "oracles/reference_kernel.hpp"
 #include "rng/random.hpp"
 #include "system/metrics.hpp"
 #include "system/shapes.hpp"
@@ -30,7 +30,7 @@ using lattice::Direction;
 using lattice::TriPoint;
 using system::ParticleSystem;
 
-// The reference side is core::ReferenceKernel (core/reference_kernel.hpp):
+// The reference side is core::ReferenceKernel (oracles/reference_kernel.hpp):
 // the frozen seed implementation, shared with bench_perf's before/after
 // measurements so the benchmarked baseline is exactly the certified one.
 

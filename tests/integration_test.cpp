@@ -160,9 +160,10 @@ TEST(Integration, PerimeterSeriesDecreasesUnderCompression) {
   core::CompressionEngine chain(system::lineConfiguration(40),
                                 core::CompressionModel(withLambda(4.0)), 13);
   std::vector<double> ratios;
-  chain.runWithCheckpoints(400000, 40000, [&](std::uint64_t) {
+  for (int checkpoint = 0; checkpoint < 10; ++checkpoint) {
+    chain.run(40000);
     ratios.push_back(system::summarize(chain.system()).perimeterRatio);
-  });
+  }
   ASSERT_EQ(ratios.size(), 10u);
   // Monotone-ish decrease: final much below initial, and the minimum is at
   // the tail half.

@@ -1,7 +1,7 @@
 // Golden-trajectory equivalence for Algorithm A: the optimized amoebot
 // layer (bit-plane occupancy, N* ring gathers, per-λ decision table) must
 // be *draw-for-draw identical* to the frozen seed kernel in
-// amoebot/reference_local_kernel.hpp — same ActivationResult per
+// oracles/reference_local_kernel.hpp — same ActivationResult per
 // activation, same RNG consumption, same tails/heads/flags — under every
 // scheduler, with and without faults, on the flat window and on the tiled
 // backend.  This is what keeps the stationary-distribution and
@@ -22,9 +22,9 @@
 #include "amoebot/faults.hpp"
 #include "amoebot/local_compression.hpp"
 #include "amoebot/parallel_scheduler.hpp"
-#include "amoebot/reference_local_kernel.hpp"
 #include "amoebot/scheduler.hpp"
 #include "core/cancel.hpp"
+#include "oracles/reference_local_kernel.hpp"
 #include "system/metrics.hpp"
 #include "system/shapes.hpp"
 #include "system/snapshot.hpp"

@@ -27,7 +27,7 @@
 #include "core/scenario_models.hpp"
 #include "core/sharded_chain_runner.hpp"
 #include "enumeration/exact_distribution.hpp"
-#include "extensions/separation.hpp"
+#include "oracles/separation_chain.hpp"
 #include "system/shapes.hpp"
 
 namespace sops::extensions {

@@ -3,7 +3,7 @@
 
 #include <vector>
 
-#include "extensions/separation.hpp"
+#include "oracles/separation_chain.hpp"
 #include "system/metrics.hpp"
 #include "system/shapes.hpp"
 

@@ -45,7 +45,10 @@ src/core, src/amoebot, src/rng, src/sim.  bare-assert, stdout-io, and
 getenv-in-library apply to all of src/ — the whole library is linked
 into spps, whose stdout is a data channel, NDEBUG-stripped contracts are
 a hazard everywhere, and env-dependent configuration anywhere in the
-library escapes the spec.  tests/, bench/, tools/, examples/ are out of
+library escapes the spec.  bare-assert also applies to oracles/, the
+reference kernels the tests pin the fast paths against: an oracle whose
+contract compiles away in Release weakens every test that uses it.
+tests/, bench/, tools/, examples/ are out of
 scope: they own their processes' stdout, their nondeterminism cannot
 leak into a library trajectory, and bench/ layeredParams-style env
 knobs are explicitly that layer's business.
@@ -79,6 +82,9 @@ import sys
 TRAJECTORY_DIRS = ("src/core", "src/amoebot", "src/rng", "src/sim")
 # Directories holding library code linked into consumers.
 LIBRARY_DIRS = ("src",)
+# The reference kernels (the sops_oracles library) that tests and benches
+# link.
+ORACLE_DIRS = ("oracles",)
 
 SOURCE_EXTENSIONS = (".cpp", ".hpp", ".cc", ".hh", ".h")
 
@@ -253,7 +259,7 @@ def check_unordered_iteration(path, lines, raw_lines):
                 yield Finding(path, lineno, "unordered-iteration", message)
 
 
-@rule("bare-assert", LIBRARY_DIRS)
+@rule("bare-assert", LIBRARY_DIRS + ORACLE_DIRS)
 def check_bare_assert(path, lines, raw_lines):
     pattern = re.compile(r"(?<![A-Za-z0-9_.])assert\s*\(")
     for lineno, line in enumerate(lines, 1):
@@ -356,7 +362,7 @@ def lint_file(abspath, relpath):
 
 
 def iter_tree(root):
-    for base in LIBRARY_DIRS:
+    for base in LIBRARY_DIRS + ORACLE_DIRS:
         top = os.path.join(root, base)
         if not os.path.isdir(top):
             continue
@@ -373,7 +379,7 @@ def main(argv=None):
         description="Determinism/contract lint for the sops tree "
                     "(rules documented in DESIGN.md).")
     parser.add_argument("--root", default=None,
-                        help="repo root; lints src/ beneath it "
+                        help="repo root; lints src/ and oracles/ beneath it "
                              "(default: the repo containing this script)")
     parser.add_argument("files", nargs="*",
                         help="explicit files to lint (paths interpreted "

@@ -181,6 +181,24 @@ class LintRuleTest(unittest.TestCase):
                         "void f(int x) { assert(x > 0); }\n")
         self.assert_finding(self.lint(), "bare-assert", "src/io/check.cpp:2")
 
+    def test_bare_assert_in_oracles_is_a_finding(self):
+        # The reference kernels are linted too: a contract that compiles
+        # away in Release would weaken every test pinned against them.
+        self.tree.write("oracles/reference.hpp",
+                        "#include <cassert>\n"
+                        "inline void f(int x) { assert(x > 0); }\n")
+        self.assert_finding(self.lint(), "bare-assert",
+                            "oracles/reference.hpp:2")
+
+    def test_oracles_are_out_of_scope_for_the_other_rules(self):
+        # Only bare-assert reaches oracles/: they own no trajectory and are
+        # never linked into spps.
+        self.tree.write("oracles/reference.cpp",
+                        "#include <cstdio>\n"
+                        "#include <random>\n"
+                        "void f() { std::random_device rd; printf(\"x\"); }\n")
+        self.assert_clean(self.lint())
+
     def test_static_assert_and_sops_macros_are_allowed(self):
         self.tree.write("src/core/check.cpp",
                         "static_assert(sizeof(int) == 4);\n"
@@ -376,7 +394,7 @@ class TextualLintGapTest(unittest.TestCase):
 class ShippedTreeTest(unittest.TestCase):
     def test_shipped_src_tree_is_clean(self):
         # The CI gate runs exactly this; a determinism hazard merged into
-        # src/ fails here first.
+        # src/ (or a bare assert into oracles/) fails here first.
         result = run_lint("--root", REPO_ROOT)
         self.assertEqual(result.returncode, 0,
                          "sops_lint found violations in src/:\n"
